@@ -47,17 +47,7 @@
       the flat pool by >= 1.5x at >= 4 domains (only meaningful on a
       machine with >= 4 cores).  Skip with CKPT_SKIP_SCHED_BENCH=1.
 
-   7. An engine benchmark: the same replicate x policy workload driven
-      through the scalar engine (one [Engine.run] per replicate) vs the
-      batch lockstep engine ([Engine.run_stripe] per stripe), at p in
-      {1024, 16384} on a single domain, written to BENCH_engine.json.
-      The two arms must produce bit-identical outcomes; under
-      CKPT_BENCH_ASSERT=1 the batch engine must additionally beat the
-      scalar one by >= 2x replicate throughput at p = 16384.
-      CKPT_BENCH_SMOKE=1 shrinks the replicate count for CI.  Skip
-      with CKPT_SKIP_ENGINE_BENCH=1.
-
-   8. A sweep-worker benchmark: `ckpt sweep --workers N` on the
+   7. A sweep-worker benchmark: `ckpt sweep --workers N` on the
       sweep-smoke study at N in {1, 2, 4} over fresh stores, reporting
       units/second and the speedup over one worker, written to
       BENCH_sweep.json with the physical core count recorded.  Every
@@ -143,7 +133,7 @@ let jaguar_ages =
       Ckpt_prng.Rng.uniform rng *. P.Units.of_years 1.)
 
 let run_once ~scenario ~traces ~policy =
-  match S.Engine.run ~scenario ~traces ~policy with
+  match S.Engine.run ~scenario ~traces ~policy () with
   | S.Engine.Completed m -> m.S.Engine.makespan
   | S.Engine.Policy_failed _ -> nan
 
@@ -242,12 +232,12 @@ let artifact_tests =
       stage "energy/metrics-accounting" (fun () ->
           match
             S.Engine.run ~scenario:peta_exp_scenario ~traces:peta_exp_traces
-              ~policy:(Po.Young.policy peta_exp_job)
+              ~policy:(Po.Young.policy peta_exp_job) ()
           with
           | S.Engine.Completed m -> S.Energy.of_metrics S.Energy.default_power ~processors:2048 m
           | S.Engine.Policy_failed _ -> nan);
       stage "replication/lower-bound-run" (fun () ->
-          S.Engine.lower_bound ~scenario:peta_weib_scenario ~traces:peta_weib_traces);
+          S.Engine.lower_bound ~scenario:peta_weib_scenario ~traces:peta_weib_traces ());
     ]
 
 (* Core kernels underneath everything. *)
@@ -433,7 +423,7 @@ let run_telemetry_bench () =
   let policy = Po.Dp_policies.dp_next_failure peta_weib_job in
   let scenario = peta_weib_scenario and traces = peta_weib_traces in
   (* Warm both paths (DP tables, allocator) outside the timed loops. *)
-  ignore (S.Engine.run ~scenario ~traces ~policy);
+  ignore (S.Engine.run ~scenario ~traces ~policy ());
   let timed f =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to telemetry_bench_runs do
@@ -441,12 +431,12 @@ let run_telemetry_bench () =
     done;
     Unix.gettimeofday () -. t0
   in
-  let off_s = timed (fun () -> ignore (S.Engine.run ~scenario ~traces ~policy)) in
+  let off_s = timed (fun () -> ignore (S.Engine.run ~scenario ~traces ~policy ())) in
   let events = ref 0 in
   let on_s =
     timed (fun () ->
         let buf = T.Tracer.create_buffer ~name:"bench" () in
-        ignore (S.Engine.run_traced ~trace:buf ~scenario ~traces ~policy);
+        ignore (S.Engine.run ~trace:buf ~scenario ~traces ~policy ());
         events := !events + T.Tracer.length buf + T.Tracer.dropped buf)
   in
   let events_per_sec = float_of_int !events /. on_s in
@@ -504,7 +494,7 @@ let run_solver_bench ~baselines:(previous, telemetry_baseline) () =
   let was_enabled = T.Metrics.enabled () in
   T.Metrics.set_enabled true;
   T.Metrics.reset ~prefix:"dp_next_failure/" ();
-  ignore (S.Engine.run ~scenario ~traces ~policy);
+  ignore (S.Engine.run ~scenario ~traces ~policy ());
   let counter name =
     match T.Metrics.find name with Some (T.Metrics.Counter n) -> n | _ -> 0
   in
@@ -512,7 +502,7 @@ let run_solver_bench ~baselines:(previous, telemetry_baseline) () =
   let candidates_per_run = counter "dp_next_failure/candidates_scanned" in
   T.Metrics.set_enabled was_enabled;
   let run_s =
-    timed_mean solver_bench_runs (fun () -> ignore (S.Engine.run ~scenario ~traces ~policy))
+    timed_mean solver_bench_runs (fun () -> ignore (S.Engine.run ~scenario ~traces ~policy ()))
   in
   let runs_per_sec = 1. /. run_s in
   let us_per_decision = 1e6 *. run_s /. float_of_int (max 1 decisions_per_run) in
@@ -773,131 +763,7 @@ let run_sched_bench () =
        (String.concat ", " (List.map string_of_int sched_processor_counts))
        physical_cores curve_json best_nested_speedup target_verifiable)
 
-(* -- stage 7: engine throughput (scalar vs batch lockstep) ------------------ *)
-
-let engine_bench_processor_counts = [ 1024; 16384 ]
-let engine_bench_stripe = 16
-
-let engine_bench_replicates () =
-  if Sys.getenv_opt "CKPT_BENCH_SMOKE" = Some "1" then 8 else 32
-
-let run_engine_bench () =
-  let replicates = engine_bench_replicates () in
-  Printf.printf
-    "\n\
-     === Engine (scalar vs batch lockstep, %d replicates x 3 policies, stripe %d, 1 domain) \
-     ===\n\
-     %!"
-    replicates engine_bench_stripe;
-  let previous = previous_json_field ~path:"BENCH_engine.json" ~field:"speedup_at_16384" in
-  let identical = ref true in
-  let curve =
-    List.map
-      (fun processors ->
-        let job = mini_job ~dist:weibull ~processors in
-        let scenario = S.Scenario.create job in
-        let policies = [| Po.Young.policy job; Po.Daly.high job; Po.Optexp.policy job |] in
-        (* Trace sets are generated once and held, so both arms time
-           pure engine work — never trace generation or the scenario
-           cache. *)
-        let traces = Array.init replicates (fun i -> S.Scenario.traces scenario ~replicate:i) in
-        (* Warm both paths (allocator, lazy structures) outside the
-           timed loops. *)
-        ignore (S.Engine.run ~scenario ~traces:traces.(0) ~policy:policies.(0));
-        ignore
-          (S.Engine.run_stripe ~scenario ~traces:(Array.sub traces 0 1) ~policy:policies.(0) ());
-        let t0 = Unix.gettimeofday () in
-        let scalar =
-          Array.map
-            (fun policy -> Array.map (fun tr -> S.Engine.run ~scenario ~traces:tr ~policy) traces)
-            policies
-        in
-        let scalar_s = Unix.gettimeofday () -. t0 in
-        (* The batch arm mirrors the evaluation harness: one lockstep
-           pass per policy over each stripe, the slots' lifetime
-           templates computed once and shared by all three policies. *)
-        let t0 = Unix.gettimeofday () in
-        let stripes = (replicates + engine_bench_stripe - 1) / engine_bench_stripe in
-        let per_stripe =
-          Array.init stripes (fun stripe ->
-              let first = stripe * engine_bench_stripe in
-              let len = min engine_bench_stripe (replicates - first) in
-              let stripe_traces = Array.sub traces first len in
-              let initial_births =
-                Array.map (fun tr -> S.Scenario.initial_lifetime_starts scenario tr) stripe_traces
-              in
-              Array.map
-                (fun policy ->
-                  S.Engine.run_stripe ~initial_births ~scenario ~traces:stripe_traces ~policy ())
-                policies)
-        in
-        let batch =
-          Array.init (Array.length policies) (fun j ->
-              Array.concat (Array.to_list (Array.map (fun per -> per.(j)) per_stripe)))
-        in
-        let batch_s = Unix.gettimeofday () -. t0 in
-        if compare scalar batch <> 0 then identical := false;
-        let throughput s = float_of_int replicates /. s in
-        Printf.printf
-          "p=%5d: scalar %7.3f s (%8.2f rep/s)   batch %7.3f s (%8.2f rep/s)   speedup %.2fx\n%!"
-          processors scalar_s (throughput scalar_s) batch_s (throughput batch_s)
-          (scalar_s /. batch_s);
-        (processors, scalar_s, batch_s))
-      engine_bench_processor_counts
-  in
-  Printf.printf "bit-identical: %s\n%!"
-    (if !identical then "batch outcomes == scalar outcomes at every point"
-     else "MISMATCH between batch and scalar outcomes");
-  if not !identical then exit 1;
-  let speedup_at_16384 =
-    List.fold_left (fun acc (p, sc, ba) -> if p = 16384 then sc /. ba else acc) 0. curve
-  in
-  Printf.printf "speedup at p=16384: %.2fx (target 2x)\n%!" speedup_at_16384;
-  (match previous with
-  | Some prev when prev > 0. ->
-      Printf.printf "vs committed BENCH_engine.json: previous speedup_at_16384 was %.2fx\n%!" prev
-  | Some _ | None -> Printf.printf "no previous BENCH_engine.json baseline to compare against\n%!");
-  if speedup_at_16384 < 2. then begin
-    if Sys.getenv_opt "CKPT_BENCH_ASSERT" = Some "1" then begin
-      Printf.eprintf "FAIL: batch engine below the 2x scalar-throughput target at p=16384\n%!";
-      exit 1
-    end
-    else Printf.printf "WARNING: below the 2x target (CKPT_BENCH_ASSERT=1 enforces)\n%!"
-  end;
-  let curve_json =
-    String.concat ",\n"
-      (List.map
-         (fun (processors, scalar_s, batch_s) ->
-           Printf.sprintf
-             "    { \"processors\": %d, \"scalar_seconds\": %.6f, \"batch_seconds\": %.6f, \
-              \"scalar_replicates_per_sec\": %.3f, \"batch_replicates_per_sec\": %.3f, \
-              \"speedup\": %.3f }"
-             processors scalar_s batch_s
-             (float_of_int replicates /. scalar_s)
-             (float_of_int replicates /. batch_s)
-             (scalar_s /. batch_s))
-         curve)
-  in
-  write_bench_json ~path:"BENCH_engine.json"
-    ~meta:[ ("bench", "engine-throughput") ]
-    (Printf.sprintf
-       "{\n\
-       \  \"bench\": \"engine-throughput\",\n\
-       \  \"replicates\": %d,\n\
-       \  \"stripe\": %d,\n\
-       \  \"engine\": \"scalar-vs-batch\",\n\
-       \  \"policies\": 3,\n\
-       \  \"distribution\": \"weibull(k=0.7)\",\n\
-       \  \"domains\": 1,\n\
-       \  \"curve\": [\n\
-        %s\n\
-       \  ],\n\
-       \  \"speedup_at_16384\": %.3f,\n\
-       \  \"deterministic\": true\n\
-        }\n"
-       replicates engine_bench_stripe curve_json speedup_at_16384)
-
-(* -- stage 8: multi-process sweep workers ----------------------------------- *)
+(* -- stage 7: multi-process sweep workers ----------------------------------- *)
 
 let sweep_worker_counts = [ 1; 2; 4 ]
 let sweep_bench_stripe = 4
@@ -1124,5 +990,4 @@ let () =
   if not (skip "CKPT_SKIP_TELEMETRY_BENCH") then run_telemetry_bench ();
   if not (skip "CKPT_SKIP_SOLVER_BENCH") then run_solver_bench ~baselines ();
   if not (skip "CKPT_SKIP_SCHED_BENCH") then run_sched_bench ();
-  if not (skip "CKPT_SKIP_ENGINE_BENCH") then run_engine_bench ();
   if not (skip "CKPT_SKIP_SWEEP_BENCH") then run_sweep_bench ()

@@ -339,7 +339,7 @@ let trace_cmd =
         ~name:(Printf.sprintf "rep%d/%s" replicate policy.Po.Policy.name)
         ()
     in
-    (match S.Engine.run_traced ~trace:buf ~scenario ~traces ~policy with
+    (match S.Engine.run ~trace:buf ~scenario ~traces ~policy () with
     | S.Engine.Policy_failed { at_time; remaining } ->
         Printf.printf "%s failed at t = %.0f s with %.0f s of work left\n"
           policy.Po.Policy.name at_time remaining

@@ -51,9 +51,7 @@ let () =
       let acc = ref 0. in
       for replicate = 0 to replicates - 1 do
         let traces = S.Scenario.traces scenario ~replicate in
-        match
-          S.Engine.run_with_cost_profile ~cost_profile:profile ~scenario ~traces ~policy
-        with
+        match S.Engine.run ~cost_profile:profile ~scenario ~traces ~policy () with
         | S.Engine.Completed m -> acc := !acc +. m.S.Engine.makespan
         | S.Engine.Policy_failed _ -> ()
       done;

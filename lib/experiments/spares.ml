@@ -59,7 +59,7 @@ let run ?(config = Config.default ()) ?processors () =
       ~scenario ~replicates ~width:row_width
       ~f:(fun replicate ->
         let traces = S.Scenario.traces scenario ~replicate in
-        row_of_outcome (S.Engine.run ~scenario ~traces ~policy))
+        row_of_outcome (S.Engine.run ~scenario ~traces ~policy ()))
       ()
     |> Array.to_list
     |> List.filter (fun r -> not (Float.is_nan r.(0)))

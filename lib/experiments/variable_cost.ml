@@ -36,7 +36,7 @@ let run ?(config = Config.default ()) ?(processors = 1 lsl 13) () =
     let makespans =
       List.map
         (fun (_, policy) ->
-          match S.Engine.run_with_cost_profile ~cost_profile:profile ~scenario ~traces ~policy with
+          match S.Engine.run ~cost_profile:profile ~scenario ~traces ~policy () with
           | S.Engine.Completed m -> m.S.Engine.makespan
           | S.Engine.Policy_failed _ -> infinity)
         contenders

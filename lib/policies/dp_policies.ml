@@ -138,7 +138,7 @@ let dp_makespan ?quantum ?cap_states ?chunk_factor job =
           else Some (Policy.clamp_chunk ~remaining:obs.Policy.remaining chunk)
   in
   (* The cursor makes each decision depend on the whole history, not
-     the current observation alone: never memoizable across replicates. *)
+     the current observation alone: not pure-scalar. *)
   { Policy.name = "DPMakespan"; instantiate; decide = None }
 
 let dp_next_failure ?(nexact = Age_summary.default_nexact)
@@ -206,6 +206,6 @@ let dp_next_failure ?(nexact = Age_summary.default_nexact)
             Some (Policy.clamp_chunk ~remaining:obs.Policy.remaining chunk)
       end
   in
-  (* Stateful (pending plan and budget) and age-summary-driven: the
-     batch engine must run a fresh instance per replicate slot. *)
+  (* Stateful (pending plan and budget) and age-summary-driven: each
+     execution needs a fresh instance. *)
   { Policy.name = "DPNextFailure"; instantiate; decide = None }

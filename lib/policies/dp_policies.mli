@@ -37,4 +37,4 @@ val dp_next_failure :
     checkpoint/recovery costs seen by each replanning step are taken
     at the job's current progress, so the policy adapts its chunk
     sizes as the application's footprint evolves (pair it with
-    {!Ckpt_simulator.Engine.run_with_cost_profile} — same profile). *)
+    {!Ckpt_simulator.Engine.run}'s [?cost_profile] — same profile). *)

@@ -16,8 +16,8 @@ type phase =
   | After_recovery  (** a failure struck; recovery just completed *)
 
 (** The scalar fields are mutable so a driver stepping many executions
-    (the engine's scalar loop, the batch stripe engine) can reuse one
-    record per execution instead of allocating one per decision.
+    (the engine's stripe of replicates) can reuse one record per
+    execution instead of allocating one per decision.
     Policies must read the fields they need within the call and never
     retain the record across decisions. *)
 type observation = {
@@ -56,11 +56,12 @@ type t = {
           function of the {e scalar} observation fields alone —
           [phase], [remaining], [failure_units], [min_age] — reading
           neither [iter_ages] nor [summarize] and keeping no state
-          across decisions.  The batch engine memoizes such decisions
-          across the replicates of a stripe, keyed on the exact float
-          bits of those fields, so reuse is bit-identical by
-          construction.  Stateful policies (the DP plans) and policies
-          that consult the full age summary must leave this [None]. *)
+          across decisions.  Stateful policies (the DP plans) and
+          policies that consult the full age summary leave this
+          [None].  The engine does not read this field: it always
+          steps [instantiate ()], one instance per execution.  The
+          field survives only because external drivers still build
+          [t] records with it. *)
 }
 
 val summarize_of_iter :
@@ -76,13 +77,12 @@ val summarize_of_iter :
 val stateless : string -> (observation -> float option) -> t
 (** A policy whose decisions are a pure function of the observation —
     possibly including the full age summary, so it makes no
-    memoization claim ([decide = None]).  Use {!pure_scalar} when the
+    pure-scalar claim ([decide = None]).  Use {!pure_scalar} when the
     decision reads only the scalar fields. *)
 
 val pure_scalar : string -> (observation -> float option) -> t
 (** Like {!stateless}, additionally declaring ([decide = Some f]) that
-    the decision depends only on the scalar observation fields, making
-    it safe for the batch engine's cross-replicate memo. *)
+    the decision depends only on the scalar observation fields. *)
 
 val periodic : string -> period:float -> t
 (** Checkpoint every [period] seconds of work: chunks of

@@ -23,7 +23,7 @@ let makespan_energy_tradeoff ~scenario ~power ~periods ~replicates =
       let makespan_acc = ref 0. and energy_acc = ref 0. and n = ref 0 in
       for replicate = 0 to replicates - 1 do
         let traces = Scenario.traces scenario ~replicate in
-        match Engine.run ~scenario ~traces ~policy with
+        match Engine.run ~scenario ~traces ~policy () with
         | Engine.Completed m ->
             makespan_acc := !makespan_acc +. m.Engine.makespan;
             energy_acc := !energy_acc +. of_metrics power ~processors m;

@@ -5,11 +5,8 @@ module Tracer = Ckpt_telemetry.Tracer
 module Metrics = Ckpt_telemetry.Metrics
 module Age_summary = Ckpt_core.Age_summary
 
-(* Cross-replicate decision reuse and stripe occupancy of the batch
-   engine; fill under CKPT_METRICS=1 and surface in `ckpt stats` and
-   the OpenMetrics textfile. *)
-let memo_hits = Metrics.counter "engine/decision_memo_hits"
-let memo_misses = Metrics.counter "engine/decision_memo_misses"
+(* Stripe occupancy per lockstep round; fills under CKPT_METRICS=1 and
+   surfaces in `ckpt stats` and the OpenMetrics textfile. *)
 let batch_live_slots = Metrics.histogram "engine/batch_live_slots"
 
 type metrics = {
@@ -50,156 +47,6 @@ let accounting_tolerance ?clock m =
   let ulp = Float.succ scale -. scale in
   float_of_int ((8 * (m.chunks + m.failures)) + 64) *. ulp
 
-(* Mutable execution state shared by the policy-driven run and the
-   omniscient lower bound. *)
-type state = {
-  job : Job.t;
-  trace : Tracer.buffer option;
-      (* when tracing, every phase transition below also emits a typed
-         event; the disabled path is one match per site. *)
-  events : (float * int) array;  (* merged (date, processor), sorted *)
-  mutable event_index : int;
-  lifetime_start : float array;  (* per processor *)
-  ages_inc : Age_summary.Incremental.t option;
-      (* sorted mirror of lifetime_start, kept in sync by
-         settle_downtime so policy observations can summarize platform
-         ages without an O(p) pass; None on paths that never consult a
-         policy (the lower bound). *)
-  down_until : float array;
-  mutable now : float;
-  start_time : float;
-  mutable remaining : float;
-  mutable last_failure_ref : float;
-      (* reference instant of the most recent platform failure's new
-         lifetime (max over lifetime_start); min age = now - this. *)
-  (* accumulators *)
-  mutable useful_work : float;
-  mutable checkpoint_time : float;
-  mutable wasted_time : float;
-  mutable recovery_time : float;
-  mutable stall_time : float;
-  mutable failures : int;
-  mutable chunks : int;
-  mutable min_chunk : float;
-  mutable max_chunk : float;
-}
-
-let make_state ~trace ~track_ages ~scenario ~traces =
-  let job = scenario.Scenario.job in
-  let lifetime_start = Scenario.initial_lifetime_starts scenario traces in
-  let start_time = scenario.Scenario.start_time in
-  let last_failure_ref = Array.fold_left Float.max neg_infinity lifetime_start in
-  {
-    job;
-    trace;
-    events = Trace_set.events traces;
-    event_index = Trace_set.next_event_index traces ~after:start_time;
-    lifetime_start;
-    ages_inc =
-      (if track_ages then Some (Age_summary.Incremental.create ~births:lifetime_start)
-       else None);
-    down_until = Array.make (Array.length lifetime_start) neg_infinity;
-    now = start_time;
-    start_time;
-    remaining = job.Job.work_time;
-    last_failure_ref;
-    useful_work = 0.;
-    checkpoint_time = 0.;
-    wasted_time = 0.;
-    recovery_time = 0.;
-    stall_time = 0.;
-    failures = 0;
-    chunks = 0;
-    min_chunk = 0.;
-    max_chunk = 0.;
-  }
-
-(* First effective failure strictly before [before], skipping (and
-   consuming) failures absorbed by their own processor's downtime.
-   Does not consume the effective event it reports. *)
-let peek_effective_failure st ~before =
-  let n = Array.length st.events in
-  let rec scan () =
-    if st.event_index >= n then None
-    else begin
-      let date, proc = st.events.(st.event_index) in
-      if date >= before then None
-      else if date < st.down_until.(proc) then begin
-        st.event_index <- st.event_index + 1;
-        scan ()
-      end
-      else Some (date, proc)
-    end
-  in
-  scan ()
-
-let consume_event st = st.event_index <- st.event_index + 1
-
-(* Register the failure of [proc] at [date]: downtime, lifetime
-   restart, and cascading failures of other processors until every
-   processor is simultaneously available.  Returns the instant at
-   which the platform is whole again. *)
-let rec settle_downtime st ~date ~proc =
-  let d = Job.downtime st.job in
-  (match st.trace with
-  | Some b -> Tracer.emit b (Tracer.Failure { at = date; proc })
-  | None -> ());
-  st.failures <- st.failures + 1;
-  st.down_until.(proc) <- date +. d;
-  (match st.ages_inc with
-  | Some inc ->
-      Age_summary.Incremental.update inc ~old_birth:st.lifetime_start.(proc)
-        ~new_birth:(date +. d)
-  | None -> ());
-  st.lifetime_start.(proc) <- date +. d;
-  st.last_failure_ref <- Float.max st.last_failure_ref (date +. d);
-  let ready = date +. d in
-  match peek_effective_failure st ~before:ready with
-  | None -> ready
-  | Some (date', proc') ->
-      consume_event st;
-      Float.max ready (settle_downtime st ~date:date' ~proc:proc')
-
-(* Handle a failure hitting at [date] while the job was busy
-   (execution or recovery; the caller attributes the lost time), then
-   perform the recovery — cost [r] — which may itself be struck.
-   On return, [st.now] is the instant the job can resume computing. *)
-let handle_failure st ~date ~proc ~r =
-  let rec recover ready =
-    (match st.trace with
-    | Some b ->
-        Tracer.emit b (Tracer.Downtime { t0 = st.now; t1 = ready });
-        Tracer.emit b (Tracer.Recovery_start { at = ready })
-    | None -> ());
-    st.stall_time <- st.stall_time +. (ready -. st.now);
-    st.now <- ready;
-    match peek_effective_failure st ~before:(ready +. r) with
-    | None ->
-        (match st.trace with
-        | Some b ->
-            Tracer.emit b (Tracer.Recovery_complete { t0 = ready; t1 = ready +. r; cost = r })
-        | None -> ());
-        st.recovery_time <- st.recovery_time +. r;
-        st.now <- ready +. r
-    | Some (date', proc') ->
-        consume_event st;
-        (match st.trace with
-        | Some b -> Tracer.emit b (Tracer.Recovery_abort { t0 = ready; t1 = date' })
-        | None -> ());
-        st.recovery_time <- st.recovery_time +. (date' -. ready);
-        st.now <- date';
-        let ready' = settle_downtime st ~date:date' ~proc:proc' in
-        recover ready'
-  in
-  consume_event st;
-  (match st.trace with
-  | Some b -> Tracer.emit b (Tracer.Waste { t0 = st.now; t1 = date })
-  | None -> ());
-  st.wasted_time <- st.wasted_time +. (date -. st.now);
-  st.now <- date;
-  let ready = settle_downtime st ~date ~proc in
-  recover ready
-
 let check_accounting ~clock m =
   let residual = accounting_residual m and tol = accounting_tolerance ~clock m in
   if not (residual <= tol) then
@@ -212,265 +59,94 @@ let check_accounting ~clock m =
             m.stall_time residual tol m.chunks m.failures));
   m
 
-let metrics_of st =
-  check_accounting ~clock:st.now
-    {
-      makespan = st.now -. st.start_time;
-      useful_work = st.useful_work;
-      checkpoint_time = st.checkpoint_time;
-      wasted_time = st.wasted_time;
-      recovery_time = st.recovery_time;
-      stall_time = st.stall_time;
-      failures = st.failures;
-      chunks = st.chunks;
-      min_chunk = st.min_chunk;
-      max_chunk = st.max_chunk;
-    }
-
-let record_chunk st chunk =
-  st.chunks <- st.chunks + 1;
-  if st.chunks = 1 then begin
-    st.min_chunk <- chunk;
-    st.max_chunk <- chunk
-  end
-  else begin
-    st.min_chunk <- Float.min st.min_chunk chunk;
-    st.max_chunk <- Float.max st.max_chunk chunk
-  end
 
 let work_epsilon = 1e-6
 
-let run_internal ~trace ~cost_profile ~scenario ~traces ~policy =
-  let st = make_state ~trace ~track_ages:true ~scenario ~traces in
-  let constant_c = Job.checkpoint_cost st.job in
-  let constant_r = Job.recovery_cost st.job in
-  let work_time = st.job.Job.work_time in
-  let costs_at ~remaining =
-    match cost_profile with
-    | None -> (constant_c, constant_r)
-    | Some f -> f ~progress:(Float.max 0. (Float.min 1. (1. -. (remaining /. work_time))))
-  in
-  let instance = policy.Policy.instantiate () in
-  let iter_ages f =
-    Array.iter (fun ls -> f (Float.max 0. (st.now -. ls))) st.lifetime_start
-  in
-  let summarize ~nexact ~napprox dist =
-    match st.ages_inc with
-    | Some inc -> Age_summary.Incremental.summarize ~nexact ~napprox inc dist ~now:st.now
-    | None ->
-        Policy.summarize_of_iter ~units:(Array.length st.lifetime_start) ~iter_ages ~nexact
-          ~napprox dist
-  in
-  (* One observation for the whole run: the scalar fields are mutable
-     and refreshed before every decision, so the loop allocates
-     nothing per decision (a mixed mutable record would box each float
-     store; the closures above are hoisted for the same reason). *)
-  let obs =
-    {
-      Policy.phase = Policy.Start;
-      remaining = st.remaining;
-      failure_units = Array.length st.lifetime_start;
-      min_age = 0.;
-      iter_ages;
-      summarize;
-    }
-  in
-  let outcome = ref None in
-  while Option.is_none !outcome do
-    if st.remaining <= work_epsilon then outcome := Some (Completed (metrics_of st))
-    else begin
-      obs.Policy.remaining <- st.remaining;
-      obs.Policy.min_age <- Float.max 0. (st.now -. st.last_failure_ref);
-      match instance obs with
-      | None -> outcome := Some (Policy_failed { at_time = st.now; remaining = st.remaining })
-      | Some chunk ->
-          let chunk =
-            let c' = Policy.clamp_chunk ~remaining:st.remaining chunk in
-            if c' < work_epsilon then st.remaining else c'
-          in
-          (* Checkpoint cost at the progress the chunk ends at;
-             recovery cost at the progress being protected (the last
-             committed checkpoint). *)
-          let c, _ = costs_at ~remaining:(st.remaining -. chunk) in
-          let _, r = costs_at ~remaining:st.remaining in
-          (match st.trace with
-          | Some b ->
-              Tracer.emit b (Tracer.Decision { at = st.now; chunk; remaining = st.remaining });
-              Tracer.emit b (Tracer.Chunk_start { at = st.now; work = chunk })
-          | None -> ());
-          let finish = st.now +. chunk +. c in
-          (match peek_effective_failure st ~before:finish with
-          | None ->
-              (match st.trace with
-              | Some b ->
-                  Tracer.emit b
-                    (Tracer.Chunk_commit { t0 = st.now; t1 = st.now +. chunk; work = chunk });
-                  Tracer.emit b (Tracer.Checkpoint { t0 = st.now +. chunk; t1 = finish; cost = c })
-              | None -> ());
-              st.now <- finish;
-              st.remaining <- st.remaining -. chunk;
-              st.useful_work <- st.useful_work +. chunk;
-              st.checkpoint_time <- st.checkpoint_time +. c;
-              record_chunk st chunk;
-              obs.Policy.phase <- Policy.After_checkpoint
-          | Some (date, proc) ->
-              handle_failure st ~date ~proc ~r;
-              obs.Policy.phase <- Policy.After_recovery)
-    end
-  done;
-  Option.get !outcome
-
-let lower_bound_internal ~trace ~scenario ~traces =
-  let st = make_state ~trace ~track_ages:false ~scenario ~traces in
-  let c = Job.checkpoint_cost st.job in
-  let emit_committed ~t0 ~chunk =
-    match st.trace with
-    | Some b ->
-        Tracer.emit b (Tracer.Chunk_commit { t0; t1 = t0 +. chunk; work = chunk });
-        Tracer.emit b (Tracer.Checkpoint { t0 = t0 +. chunk; t1 = t0 +. chunk +. c; cost = c })
-    | None -> ()
-  in
-  while st.remaining > work_epsilon do
-    match peek_effective_failure st ~before:infinity with
-    | None ->
-        (* Failure-free to the horizon: finish in one chunk. *)
-        let chunk = st.remaining in
-        emit_committed ~t0:st.now ~chunk;
-        st.now <- st.now +. chunk +. c;
-        st.useful_work <- st.useful_work +. chunk;
-        st.checkpoint_time <- st.checkpoint_time +. c;
-        st.remaining <- 0.;
-        record_chunk st chunk
-    | Some (date, proc) ->
-        let available = date -. st.now in
-        if st.remaining +. c <= available then begin
-          (* The job finishes before the failure strikes. *)
-          let chunk = st.remaining in
-          emit_committed ~t0:st.now ~chunk;
-          st.now <- st.now +. chunk +. c;
-          st.useful_work <- st.useful_work +. chunk;
-          st.checkpoint_time <- st.checkpoint_time +. c;
-          st.remaining <- 0.;
-          record_chunk st chunk
-        end
-        else begin
-          if available > c then begin
-            (* Work as much as possible, checkpointing just in time:
-               the checkpoint commits exactly when the failure hits. *)
-            let chunk = available -. c in
-            emit_committed ~t0:st.now ~chunk;
-            st.useful_work <- st.useful_work +. chunk;
-            st.checkpoint_time <- st.checkpoint_time +. c;
-            st.remaining <- st.remaining -. chunk;
-            record_chunk st chunk
-          end
-          else begin
-            (* Too close to the failure to save anything: idle. *)
-            (match st.trace with
-            | Some b -> Tracer.emit b (Tracer.Waste { t0 = st.now; t1 = date })
-            | None -> ());
-            st.wasted_time <- st.wasted_time +. available
-          end;
-          st.now <- date;
-          handle_failure st ~date ~proc ~r:(Job.recovery_cost st.job)
-        end
-  done;
-  metrics_of st
-
-let lower_bound ~scenario ~traces = lower_bound_internal ~trace:None ~scenario ~traces
-
-let lower_bound_traced ~trace ~scenario ~traces =
-  lower_bound_internal ~trace:(Some trace) ~scenario ~traces
-
-let run ~scenario ~traces ~policy =
-  run_internal ~trace:None ~cost_profile:None ~scenario ~traces ~policy
-
-let run_traced ~trace ~scenario ~traces ~policy =
-  run_internal ~trace:(Some trace) ~cost_profile:None ~scenario ~traces ~policy
-
-let run_with_cost_profile ~cost_profile ~scenario ~traces ~policy =
-  run_internal ~trace:None ~cost_profile:(Some cost_profile) ~scenario ~traces ~policy
-
-let run_with_cost_profile_traced ~trace ~cost_profile ~scenario ~traces ~policy =
-  run_internal ~trace:(Some trace) ~cost_profile:(Some cost_profile) ~scenario ~traces ~policy
-
-(* -- engine selection -------------------------------------------------------- *)
-
-type kind = Scalar | Batch
-
-let warned_engine = Atomic.make ""
-
-(* Re-read per call so tests and benches can flip it with a scoped
-   putenv; warn once per distinct malformed value (the evaluation
-   harness consults this on every stripe). *)
-let selected_kind () =
-  match Sys.getenv_opt "CKPT_ENGINE" with
-  | None -> Batch
-  | Some s when String.trim s = "" -> Batch
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "batch" -> Batch
-      | "scalar" -> Scalar
-      | _ ->
-          if Atomic.get warned_engine <> s then begin
-            Atomic.set warned_engine s;
-            Printf.eprintf "ckpt: ignoring malformed CKPT_ENGINE=%S (want scalar or batch; using batch)\n%!" s
-          end;
-          Batch)
-
-(* -- batch (striped lockstep) execution -------------------------------------- *)
-
-(* Structure-of-arrays state for a replicate stripe stepped in
-   lockstep: index [k] of every array is one replicate's execution on
-   its own trace set.  The float accumulators live in unboxed float
-   arrays — the mixed mutable record of the scalar path boxes every
-   float store — and the per-slot age ledger is created lazily on the
-   slot's first [summarize] call: [Incremental.summarize] depends only
-   on the current birth multiset, so a ledger created mid-run from the
-   live [lifetime_start] answers bit-identically to one maintained
-   from the start, and slots whose policy never consults the platform
-   ages (the periodic family) skip the O(p log p) sort entirely. *)
-type stripe_state = {
-  b_job : Job.t;
-  b_start : float;
-  b_now : float array;
-  b_remaining : float array;
-  b_useful : float array;
-  b_checkpoint : float array;
-  b_wasted : float array;
-  b_recovery : float array;
-  b_stall : float array;
-  b_last_ref : float array;  (* last_failure_ref per slot *)
-  b_min_chunk : float array;
-  b_max_chunk : float array;
-  b_failures : int array;
-  b_chunks : int array;
-  b_event_index : int array;
-  b_events : (float * int) array array;  (* shared with the trace sets *)
-  b_lifetime : float array array;
-  b_down_until : float array array;
-  b_ages : Age_summary.Incremental.t option array;  (* lazy *)
+(* Structure-of-arrays execution state of a replicate stripe stepped
+   in lockstep: index [k] of every array is one replicate's execution
+   on its own trace set; a single run is the width-1 stripe.  The
+   float accumulators live in unboxed float arrays (a mixed mutable
+   record would box every float store), and the per-slot age ledger
+   is created lazily on the slot's first [summarize] call:
+   [Incremental.summarize] depends only on the current birth multiset,
+   so a ledger created mid-run from the live [lifetime] answers
+   bit-identically to one maintained from the start, and slots whose
+   policy never consults the platform ages (the periodic family, the
+   lower bound) skip the O(p log p) sort entirely. *)
+type state = {
+  job : Job.t;
+  start : float;
+  trace : Tracer.buffer array option;
+      (* one buffer per slot: every phase transition below also emits
+         a typed event; the untraced path is one match per site. *)
+  now : float array;
+  remaining : float array;
+  useful : float array;
+  checkpoint : float array;
+  wasted : float array;
+  recovery : float array;
+  stall : float array;
+  last_ref : float array;
+      (* reference instant of the most recent platform failure's new
+         lifetime (max over lifetime); min age = now - this. *)
+  min_chunk : float array;
+  max_chunk : float array;
+  failures : int array;
+  chunks : int array;
+  event_index : int array;
+  events : (float * int) array array;  (* merged (date, processor), shared with the trace sets *)
+  lifetime : float array array;  (* per slot, per processor *)
+  down_until : float array array;
+  ages : Age_summary.Incremental.t option array;  (* lazy *)
 }
 
-(* The slot-indexed failure machinery below mirrors the scalar
-   [peek_effective_failure] / [settle_downtime] / [handle_failure] /
-   [record_chunk] operation for operation — same floats, same order —
-   so every slot's execution is bit-identical to a scalar run on the
-   same trace set (pinned by the batch/scalar property suite).  The
-   batch path never traces: tracing runs route to the scalar engine. *)
+(* [lifetime] is adopted: each slot's initial lifetime starts, which
+   the stripe mutates. *)
+let make_state ?trace ~scenario ~traces lifetime =
+  let width = Array.length traces in
+  (match trace with
+  | Some b when Array.length b <> width -> invalid_arg "Engine.run_stripe: trace width mismatch"
+  | Some _ | None -> ());
+  let job = scenario.Scenario.job in
+  let start = scenario.Scenario.start_time in
+  {
+    job;
+    start;
+    trace;
+    now = Array.make width start;
+    remaining = Array.make width job.Job.work_time;
+    useful = Array.make width 0.;
+    checkpoint = Array.make width 0.;
+    wasted = Array.make width 0.;
+    recovery = Array.make width 0.;
+    stall = Array.make width 0.;
+    last_ref = Array.map (fun ls -> Array.fold_left Float.max neg_infinity ls) lifetime;
+    min_chunk = Array.make width 0.;
+    max_chunk = Array.make width 0.;
+    failures = Array.make width 0;
+    chunks = Array.make width 0;
+    event_index = Array.map (fun tr -> Trace_set.next_event_index tr ~after:start) traces;
+    events = Array.map Trace_set.events traces;
+    lifetime;
+    down_until = Array.map (fun ls -> Array.make (Array.length ls) neg_infinity) lifetime;
+    ages = Array.make width None;
+  }
 
-let b_peek st k ~before =
-  let events = st.b_events.(k) in
-  let down = st.b_down_until.(k) in
+(* First effective failure of slot [k] strictly before [before],
+   skipping (and consuming) failures absorbed by their own processor's
+   downtime.  Does not consume the effective event it reports. *)
+let peek st k ~before =
+  let events = st.events.(k) in
+  let down = st.down_until.(k) in
   let n = Array.length events in
   let rec scan () =
-    let i = st.b_event_index.(k) in
+    let i = st.event_index.(k) in
     if i >= n then None
     else begin
       let date, proc = events.(i) in
       if date >= before then None
       else if date < down.(proc) then begin
-        st.b_event_index.(k) <- i + 1;
+        st.event_index.(k) <- i + 1;
         scan ()
       end
       else Some (date, proc)
@@ -478,174 +154,169 @@ let b_peek st k ~before =
   in
   scan ()
 
-let b_consume st k = st.b_event_index.(k) <- st.b_event_index.(k) + 1
+let consume st k = st.event_index.(k) <- st.event_index.(k) + 1
 
-let rec b_settle_downtime st k ~date ~proc =
-  let d = Job.downtime st.b_job in
-  st.b_failures.(k) <- st.b_failures.(k) + 1;
-  st.b_down_until.(k).(proc) <- date +. d;
-  (match st.b_ages.(k) with
+(* Register the failure of [proc] at [date]: downtime, lifetime
+   restart, and cascading failures of other processors until every
+   processor is simultaneously available.  Returns the instant at
+   which the platform is whole again. *)
+let rec settle_downtime st k ~date ~proc =
+  let d = Job.downtime st.job in
+  (match st.trace with
+  | Some b -> Tracer.emit b.(k) (Tracer.Failure { at = date; proc })
+  | None -> ());
+  st.failures.(k) <- st.failures.(k) + 1;
+  st.down_until.(k).(proc) <- date +. d;
+  (match st.ages.(k) with
   | Some inc ->
-      Age_summary.Incremental.update inc ~old_birth:st.b_lifetime.(k).(proc)
+      Age_summary.Incremental.update inc ~old_birth:st.lifetime.(k).(proc)
         ~new_birth:(date +. d)
   | None -> ());
-  st.b_lifetime.(k).(proc) <- date +. d;
-  st.b_last_ref.(k) <- Float.max st.b_last_ref.(k) (date +. d);
+  st.lifetime.(k).(proc) <- date +. d;
+  st.last_ref.(k) <- Float.max st.last_ref.(k) (date +. d);
   let ready = date +. d in
-  match b_peek st k ~before:ready with
+  match peek st k ~before:ready with
   | None -> ready
   | Some (date', proc') ->
-      b_consume st k;
-      Float.max ready (b_settle_downtime st k ~date:date' ~proc:proc')
+      consume st k;
+      Float.max ready (settle_downtime st k ~date:date' ~proc:proc')
 
-let b_handle_failure st k ~date ~proc ~r =
+(* Handle a failure hitting slot [k] at [date] while the job was busy
+   (execution or recovery; the caller attributes the lost time), then
+   perform the recovery — cost [r] — which may itself be struck.  On
+   return, [st.now.(k)] is the instant the job can resume computing. *)
+let handle_failure st k ~date ~proc ~r =
   let rec recover ready =
-    st.b_stall.(k) <- st.b_stall.(k) +. (ready -. st.b_now.(k));
-    st.b_now.(k) <- ready;
-    match b_peek st k ~before:(ready +. r) with
+    (match st.trace with
+    | Some b ->
+        Tracer.emit b.(k) (Tracer.Downtime { t0 = st.now.(k); t1 = ready });
+        Tracer.emit b.(k) (Tracer.Recovery_start { at = ready })
+    | None -> ());
+    st.stall.(k) <- st.stall.(k) +. (ready -. st.now.(k));
+    st.now.(k) <- ready;
+    match peek st k ~before:(ready +. r) with
     | None ->
-        st.b_recovery.(k) <- st.b_recovery.(k) +. r;
-        st.b_now.(k) <- ready +. r
+        (match st.trace with
+        | Some b ->
+            Tracer.emit b.(k) (Tracer.Recovery_complete { t0 = ready; t1 = ready +. r; cost = r })
+        | None -> ());
+        st.recovery.(k) <- st.recovery.(k) +. r;
+        st.now.(k) <- ready +. r
     | Some (date', proc') ->
-        b_consume st k;
-        st.b_recovery.(k) <- st.b_recovery.(k) +. (date' -. ready);
-        st.b_now.(k) <- date';
-        let ready' = b_settle_downtime st k ~date:date' ~proc:proc' in
+        consume st k;
+        (match st.trace with
+        | Some b -> Tracer.emit b.(k) (Tracer.Recovery_abort { t0 = ready; t1 = date' })
+        | None -> ());
+        st.recovery.(k) <- st.recovery.(k) +. (date' -. ready);
+        st.now.(k) <- date';
+        let ready' = settle_downtime st k ~date:date' ~proc:proc' in
         recover ready'
   in
-  b_consume st k;
-  st.b_wasted.(k) <- st.b_wasted.(k) +. (date -. st.b_now.(k));
-  st.b_now.(k) <- date;
-  let ready = b_settle_downtime st k ~date ~proc in
+  consume st k;
+  (match st.trace with
+  | Some b -> Tracer.emit b.(k) (Tracer.Waste { t0 = st.now.(k); t1 = date })
+  | None -> ());
+  st.wasted.(k) <- st.wasted.(k) +. (date -. st.now.(k));
+  st.now.(k) <- date;
+  let ready = settle_downtime st k ~date ~proc in
   recover ready
 
-let b_record_chunk st k chunk =
-  st.b_chunks.(k) <- st.b_chunks.(k) + 1;
-  if st.b_chunks.(k) = 1 then begin
-    st.b_min_chunk.(k) <- chunk;
-    st.b_max_chunk.(k) <- chunk
+(* Commit a [chunk] of work started at [st.now.(k)] and its checkpoint
+   of cost [c]; the caller advances the clock. *)
+let commit st k ~chunk ~c =
+  let t0 = st.now.(k) in
+  (match st.trace with
+  | Some b ->
+      Tracer.emit b.(k) (Tracer.Chunk_commit { t0; t1 = t0 +. chunk; work = chunk });
+      Tracer.emit b.(k) (Tracer.Checkpoint { t0 = t0 +. chunk; t1 = t0 +. chunk +. c; cost = c })
+  | None -> ());
+  st.remaining.(k) <- st.remaining.(k) -. chunk;
+  st.useful.(k) <- st.useful.(k) +. chunk;
+  st.checkpoint.(k) <- st.checkpoint.(k) +. c;
+  st.chunks.(k) <- st.chunks.(k) + 1;
+  if st.chunks.(k) = 1 then begin
+    st.min_chunk.(k) <- chunk;
+    st.max_chunk.(k) <- chunk
   end
   else begin
-    st.b_min_chunk.(k) <- Float.min st.b_min_chunk.(k) chunk;
-    st.b_max_chunk.(k) <- Float.max st.b_max_chunk.(k) chunk
+    st.min_chunk.(k) <- Float.min st.min_chunk.(k) chunk;
+    st.max_chunk.(k) <- Float.max st.max_chunk.(k) chunk
   end
 
-let b_metrics st k =
-  check_accounting ~clock:st.b_now.(k)
+let metrics st k =
+  check_accounting ~clock:st.now.(k)
     {
-      makespan = st.b_now.(k) -. st.b_start;
-      useful_work = st.b_useful.(k);
-      checkpoint_time = st.b_checkpoint.(k);
-      wasted_time = st.b_wasted.(k);
-      recovery_time = st.b_recovery.(k);
-      stall_time = st.b_stall.(k);
-      failures = st.b_failures.(k);
-      chunks = st.b_chunks.(k);
-      min_chunk = st.b_min_chunk.(k);
-      max_chunk = st.b_max_chunk.(k);
+      makespan = st.now.(k) -. st.start;
+      useful_work = st.useful.(k);
+      checkpoint_time = st.checkpoint.(k);
+      wasted_time = st.wasted.(k);
+      recovery_time = st.recovery.(k);
+      stall_time = st.stall.(k);
+      failures = st.failures.(k);
+      chunks = st.chunks.(k);
+      min_chunk = st.min_chunk.(k);
+      max_chunk = st.max_chunk.(k);
     }
 
-let phase_tag = function Policy.Start -> 0 | Policy.After_checkpoint -> 1 | Policy.After_recovery -> 2
-
-let run_stripe ?initial_births ~scenario ~traces ~policy () =
+let run_stripe ?initial_births ?trace ?cost_profile ~scenario ~traces ~policy () =
   let width = Array.length traces in
   if width = 0 then [||]
   else begin
-    let job = scenario.Scenario.job in
-    let start_time = scenario.Scenario.start_time in
-    (match initial_births with
-    | Some b when Array.length b <> width ->
-        invalid_arg "Engine.run_stripe: initial_births width mismatch"
-    | Some _ | None -> ());
     (* The caller may hand over the initial lifetime template it
-       already computed for another policy's pass over the same trace
-       sets; copy, never adopt — the stripe mutates its lifetimes. *)
+       already computed for another pass over the same trace sets;
+       copy, never adopt — the stripe mutates its lifetimes. *)
     let lifetime =
       match initial_births with
+      | Some b when Array.length b <> width ->
+          invalid_arg "Engine.run_stripe: initial_births width mismatch"
       | Some b -> Array.map Array.copy b
       | None -> Array.map (fun tr -> Scenario.initial_lifetime_starts scenario tr) traces
     in
-    let st =
-      {
-        b_job = job;
-        b_start = start_time;
-        b_now = Array.make width start_time;
-        b_remaining = Array.make width job.Job.work_time;
-        b_useful = Array.make width 0.;
-        b_checkpoint = Array.make width 0.;
-        b_wasted = Array.make width 0.;
-        b_recovery = Array.make width 0.;
-        b_stall = Array.make width 0.;
-        b_last_ref = Array.map (fun ls -> Array.fold_left Float.max neg_infinity ls) lifetime;
-        b_min_chunk = Array.make width 0.;
-        b_max_chunk = Array.make width 0.;
-        b_failures = Array.make width 0;
-        b_chunks = Array.make width 0;
-        b_event_index = Array.map (fun tr -> Trace_set.next_event_index tr ~after:start_time) traces;
-        b_events = Array.map Trace_set.events traces;
-        b_lifetime = lifetime;
-        b_down_until = Array.map (fun ls -> Array.make (Array.length ls) neg_infinity) lifetime;
-        b_ages = Array.make width None;
-      }
-    in
+    let st = make_state ?trace ~scenario ~traces lifetime in
+    let job = st.job in
     let constant_c = Job.checkpoint_cost job in
     let constant_r = Job.recovery_cost job in
+    let work_time = job.Job.work_time in
+    (* Checkpoint cost at the progress a chunk ends at; recovery cost
+       at the progress being protected (the last committed
+       checkpoint). *)
+    let progress remaining = Float.max 0. (Float.min 1. (1. -. (remaining /. work_time))) in
+    let checkpoint_cost ~after =
+      match cost_profile with None -> constant_c | Some f -> fst (f ~progress:(progress after))
+    in
+    let recovery_cost ~at =
+      match cost_profile with None -> constant_r | Some f -> snd (f ~progress:(progress at))
+    in
     let units = Array.length lifetime.(0) in
-    (* One reusable observation per slot, its closures bound to that
-       slot once — nothing is allocated per decision. *)
+    (* One reusable observation and one fresh policy instance per slot,
+       the observation's closures bound to that slot once — nothing is
+       allocated per decision. *)
     let obs =
       Array.init width (fun k ->
           let iter_ages f =
-            Array.iter (fun ls -> f (Float.max 0. (st.b_now.(k) -. ls))) st.b_lifetime.(k)
+            Array.iter (fun ls -> f (Float.max 0. (st.now.(k) -. ls))) st.lifetime.(k)
           in
           let summarize ~nexact ~napprox dist =
             let inc =
-              match st.b_ages.(k) with
+              match st.ages.(k) with
               | Some inc -> inc
               | None ->
-                  let inc = Age_summary.Incremental.create ~births:st.b_lifetime.(k) in
-                  st.b_ages.(k) <- Some inc;
+                  let inc = Age_summary.Incremental.create ~births:st.lifetime.(k) in
+                  st.ages.(k) <- Some inc;
                   inc
             in
-            Age_summary.Incremental.summarize ~nexact ~napprox inc dist ~now:st.b_now.(k)
+            Age_summary.Incremental.summarize ~nexact ~napprox inc dist ~now:st.now.(k)
           in
           {
             Policy.phase = Policy.Start;
-            remaining = st.b_remaining.(k);
+            remaining = st.remaining.(k);
             failure_units = units;
             min_age = 0.;
             iter_ages;
             summarize;
           })
     in
-    (* Decision source.  A pure-scalar policy shares one memo across
-       the stripe: every replicate runs the same (policy, scenario), so
-       a decision keyed on the exact float bits of the scalar fields
-       the policy may read is computed once and reused bit-identically.
-       Anything else gets a fresh instance per slot, as the scalar
-       engine would. *)
-    let decide =
-      match policy.Policy.decide with
-      | Some f ->
-          let memo : (int * int64 * int64, float option) Hashtbl.t = Hashtbl.create 64 in
-          fun _k (o : Policy.observation) ->
-            let key =
-              (phase_tag o.Policy.phase, Int64.bits_of_float o.Policy.remaining,
-               Int64.bits_of_float o.Policy.min_age)
-            in
-            (match Hashtbl.find_opt memo key with
-            | Some d ->
-                Metrics.incr memo_hits;
-                d
-            | None ->
-                Metrics.incr memo_misses;
-                let d = f o in
-                Hashtbl.add memo key d;
-                d)
-      | None ->
-          let instances = Array.init width (fun _ -> policy.Policy.instantiate ()) in
-          fun k o -> instances.(k) o
-    in
+    let instances = Array.init width (fun _ -> policy.Policy.instantiate ()) in
     let results = Array.make width None in
     (* Lockstep rounds over the live slots, one decision + chunk
        attempt per slot per round.  A slot that completes (or whose
@@ -659,35 +330,39 @@ let run_stripe ?initial_births ~scenario ~traces ~policy () =
       while !i < !nlive do
         let k = live.(!i) in
         let finished =
-          if st.b_remaining.(k) <= work_epsilon then begin
-            results.(k) <- Some (Completed (b_metrics st k));
+          if st.remaining.(k) <= work_epsilon then begin
+            results.(k) <- Some (Completed (metrics st k));
             true
           end
           else begin
             let o = obs.(k) in
-            o.Policy.remaining <- st.b_remaining.(k);
-            o.Policy.min_age <- Float.max 0. (st.b_now.(k) -. st.b_last_ref.(k));
-            match decide k o with
+            let remaining = st.remaining.(k) in
+            o.Policy.remaining <- remaining;
+            o.Policy.min_age <- Float.max 0. (st.now.(k) -. st.last_ref.(k));
+            match instances.(k) o with
             | None ->
-                results.(k) <-
-                  Some (Policy_failed { at_time = st.b_now.(k); remaining = st.b_remaining.(k) });
+                results.(k) <- Some (Policy_failed { at_time = st.now.(k); remaining });
                 true
             | Some chunk ->
                 let chunk =
-                  let c' = Policy.clamp_chunk ~remaining:st.b_remaining.(k) chunk in
-                  if c' < work_epsilon then st.b_remaining.(k) else c'
+                  let c' = Policy.clamp_chunk ~remaining chunk in
+                  if c' < work_epsilon then remaining else c'
                 in
-                let finish = st.b_now.(k) +. chunk +. constant_c in
-                (match b_peek st k ~before:finish with
+                let c = checkpoint_cost ~after:(remaining -. chunk) in
+                (match st.trace with
+                | Some b ->
+                    let now = st.now.(k) in
+                    Tracer.emit b.(k) (Tracer.Decision { at = now; chunk; remaining });
+                    Tracer.emit b.(k) (Tracer.Chunk_start { at = now; work = chunk })
+                | None -> ());
+                let finish = st.now.(k) +. chunk +. c in
+                (match peek st k ~before:finish with
                 | None ->
-                    st.b_now.(k) <- finish;
-                    st.b_remaining.(k) <- st.b_remaining.(k) -. chunk;
-                    st.b_useful.(k) <- st.b_useful.(k) +. chunk;
-                    st.b_checkpoint.(k) <- st.b_checkpoint.(k) +. constant_c;
-                    b_record_chunk st k chunk;
+                    commit st k ~chunk ~c;
+                    st.now.(k) <- finish;
                     o.Policy.phase <- Policy.After_checkpoint
                 | Some (date, proc) ->
-                    b_handle_failure st k ~date ~proc ~r:constant_r;
+                    handle_failure st k ~date ~proc ~r:(recovery_cost ~at:remaining);
                     o.Policy.phase <- Policy.After_recovery);
                 false
           end
@@ -701,3 +376,47 @@ let run_stripe ?initial_births ~scenario ~traces ~policy () =
     done;
     Array.map (function Some o -> o | None -> assert false) results
   end
+
+let run ?trace ?cost_profile ~scenario ~traces ~policy () =
+  let trace = Option.map (fun b -> [| b |]) trace in
+  (run_stripe ?trace ?cost_profile ~scenario ~traces:[| traces |] ~policy ()).(0)
+
+let lower_bound ?trace ~scenario ~traces () =
+  let trace = Option.map (fun b -> [| b |]) trace in
+  let st =
+    make_state ?trace ~scenario ~traces:[| traces |]
+      [| Scenario.initial_lifetime_starts scenario traces |]
+  in
+  let c = Job.checkpoint_cost st.job in
+  let r = Job.recovery_cost st.job in
+  (* Commit everything left in one chunk. *)
+  let finish () =
+    let chunk = st.remaining.(0) in
+    commit st 0 ~chunk ~c;
+    st.now.(0) <- st.now.(0) +. chunk +. c
+  in
+  while st.remaining.(0) > work_epsilon do
+    match peek st 0 ~before:infinity with
+    | None -> (* Failure-free to the horizon. *) finish ()
+    | Some (date, proc) ->
+        let available = date -. st.now.(0) in
+        if st.remaining.(0) +. c <= available then
+          (* The job finishes before the failure strikes. *)
+          finish ()
+        else begin
+          if available > c then
+            (* Work as much as possible, checkpointing just in time:
+               the checkpoint commits exactly when the failure hits. *)
+            commit st 0 ~chunk:(available -. c) ~c
+          else begin
+            (* Too close to the failure to save anything: idle. *)
+            (match st.trace with
+            | Some b -> Tracer.emit b.(0) (Tracer.Waste { t0 = st.now.(0); t1 = date })
+            | None -> ());
+            st.wasted.(0) <- st.wasted.(0) +. available
+          end;
+          st.now.(0) <- date;
+          handle_failure st 0 ~date ~proc ~r
+        end
+  done;
+  metrics st 0

@@ -58,98 +58,68 @@ val accounting_tolerance : ?clock:float -> metrics -> float
     magnitude sets the ulp when the scenario starts late (defaults to
     [makespan]). *)
 
-val run :
-  scenario:Scenario.t ->
-  traces:Ckpt_failures.Trace_set.t ->
-  policy:Ckpt_policies.Policy.t ->
-  outcome
-(** Simulate one execution with the job's constant [C(p) = R(p)].  The
-    trace set must cover the scenario's processors and horizon. *)
-
-val run_traced :
-  trace:Ckpt_telemetry.Tracer.buffer ->
-  scenario:Scenario.t ->
-  traces:Ckpt_failures.Trace_set.t ->
-  policy:Ckpt_policies.Policy.t ->
-  outcome
-(** Like {!run}, but emits a typed event for every phase transition
-    (policy decision, chunk start/commit, checkpoint, failure, waste,
-    downtime, recovery start/abort/complete) into [trace]; summed span
-    durations reconcile with the returned {!metrics} (see
-    [Ckpt_telemetry.Tracer.totals]).  The untraced entry points cost
-    one [match] per site. *)
-
-val run_with_cost_profile :
-  cost_profile:(progress:float -> float * float) ->
-  scenario:Scenario.t ->
-  traces:Ckpt_failures.Trace_set.t ->
-  policy:Ckpt_policies.Policy.t ->
-  outcome
-(** Like {!run}, but the checkpoint and recovery costs depend on the
-    job's progress (fraction of work committed, in [\[0, 1\]]) — the
-    extension sketched in the paper's conclusion for applications
-    whose footprint evolves (e.g. adaptive mesh refinement).
-    [cost_profile] returns [(C, R)] at a progress point; a chunk's
-    checkpoint is charged at the progress the chunk {e ends} at, a
-    recovery at the progress being restored. *)
-
-val run_with_cost_profile_traced :
-  trace:Ckpt_telemetry.Tracer.buffer ->
-  cost_profile:(progress:float -> float * float) ->
-  scenario:Scenario.t ->
-  traces:Ckpt_failures.Trace_set.t ->
-  policy:Ckpt_policies.Policy.t ->
-  outcome
-(** {!run_with_cost_profile} with the event stream of {!run_traced}. *)
-
-val lower_bound :
-  scenario:Scenario.t -> traces:Ckpt_failures.Trace_set.t -> metrics
-(** The omniscient LowerBound of Section 4.1: knows every failure date
-    and checkpoints exactly [C(p)] ahead of each, so it never wastes
-    execution time; unattainable in practice, serves as the absolute
-    reference. *)
-
-val lower_bound_traced :
-  trace:Ckpt_telemetry.Tracer.buffer ->
-  scenario:Scenario.t ->
-  traces:Ckpt_failures.Trace_set.t ->
-  metrics
-(** {!lower_bound} with the event stream of {!run_traced}. *)
-
-(** {2 Batch (striped lockstep) execution}
-
-    [run_stripe] steps a whole replicate stripe — one policy, one
-    scenario, one trace set per slot — in lockstep over a shared
-    timeline: structure-of-arrays accumulators (unboxed float arrays
-    indexed by replicate slot), one reusable mutable observation per
-    slot, a lazily created per-slot incremental age ledger, and a
-    cross-replicate decision memo for policies that declare
-    {!Ckpt_policies.Policy.t.decide}.  Every slot's outcome — metrics,
-    [Policy_failed] point, and the per-slot accounting identity
-    ({!Accounting_violation}) — is bit-identical to {!run} on the same
-    trace set.  Tracing and cost-profile runs have no batch
-    counterpart: they stay on the scalar engine. *)
-
-type kind = Scalar | Batch
-
-val selected_kind : unit -> kind
-(** The engine the evaluation harness should route replicates through:
-    [CKPT_ENGINE=scalar|batch], default [Batch].  Re-read per call;
-    malformed values warn once per distinct value and fall back to
-    [Batch]. *)
-
 val run_stripe :
   ?initial_births:float array array ->
+  ?trace:Ckpt_telemetry.Tracer.buffer array ->
+  ?cost_profile:(progress:float -> float * float) ->
   scenario:Scenario.t ->
   traces:Ckpt_failures.Trace_set.t array ->
   policy:Ckpt_policies.Policy.t ->
   unit ->
   outcome array
-(** Run [policy] on every slot's trace set; slot [k] of the result is
-    bit-identical to [run ~scenario ~traces:traces.(k) ~policy].
+(** Simulate one execution of [policy] per slot's trace set, the slots
+    stepped in lockstep: structure-of-arrays accumulators (unboxed
+    float arrays indexed by slot), one reusable mutable observation and
+    one fresh {!Ckpt_policies.Policy.t.instantiate} per slot, and a
+    per-slot incremental age ledger created on the slot's first
+    [summarize] call.  Slot [k] of the result depends only on
+    [traces.(k)] — it is bit-identical to
+    [run ~scenario ~traces:traces.(k) ~policy], whatever the width.
+    The trace sets must cover the scenario's processors and horizon.
+
     [initial_births] optionally supplies each slot's
     {!Scenario.initial_lifetime_starts} (computed once by a caller
-    running several policies over the same trace sets); the stripe
-    copies it, never mutates it.  An empty [traces] yields [[||]].
-    @raise Invalid_argument if [initial_births] is present with a
-    different width than [traces]. *)
+    running several passes over the same trace sets); the stripe
+    copies it, never mutates it.
+
+    [trace] gives slot [k] the buffer [trace.(k)], into which the run
+    emits a typed event for every phase transition (policy decision,
+    chunk start/commit, checkpoint, failure, waste, downtime, recovery
+    start/abort/complete); summed span durations reconcile bitwise
+    with the slot's {!metrics} (see [Ckpt_telemetry.Tracer.totals]).
+    Untraced runs cost one [match] per site.
+
+    [cost_profile] makes the checkpoint and recovery costs depend on
+    the job's progress (fraction of work committed, in [\[0, 1\]]) —
+    the extension sketched in the paper's conclusion for applications
+    whose footprint evolves (e.g. adaptive mesh refinement).  It
+    returns [(C, R)] at a progress point; a chunk's checkpoint is
+    charged at the progress the chunk {e ends} at, a recovery at the
+    progress being restored.  Without it, the job's constant
+    [C(p) = R(p)] apply.
+
+    An empty [traces] yields [[||]].
+    @raise Invalid_argument if [initial_births] or [trace] is present
+    with a different width than [traces]. *)
+
+val run :
+  ?trace:Ckpt_telemetry.Tracer.buffer ->
+  ?cost_profile:(progress:float -> float * float) ->
+  scenario:Scenario.t ->
+  traces:Ckpt_failures.Trace_set.t ->
+  policy:Ckpt_policies.Policy.t ->
+  unit ->
+  outcome
+(** One execution: the width-1 {!run_stripe}. *)
+
+val lower_bound :
+  ?trace:Ckpt_telemetry.Tracer.buffer ->
+  scenario:Scenario.t ->
+  traces:Ckpt_failures.Trace_set.t ->
+  unit ->
+  metrics
+(** The omniscient LowerBound of Section 4.1: knows every failure date
+    and checkpoints exactly [C(p)] ahead of each, so it never wastes
+    execution time; unattainable in practice, serves as the absolute
+    reference.  Steps the same failure machinery as {!run_stripe};
+    [trace] receives its event stream. *)

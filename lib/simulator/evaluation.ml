@@ -6,17 +6,14 @@ module Metrics_export = Ckpt_telemetry.Metrics_export
 module Tracer = Ckpt_telemetry.Tracer
 module Trace_export = Ckpt_telemetry.Trace_export
 
-(* Replicate wall-clock latency (seconds), across all policies of the
-   replicate; fills under CKPT_METRICS=1. *)
-let replicate_seconds = Metrics.histogram "eval/replicate_seconds"
-let policy_run_seconds = Metrics.histogram "eval/policy_run_seconds"
+(* Trace-generation latency per replicate (seconds) and replicate
+   counts; fill under CKPT_METRICS=1. *)
 let trace_gen_seconds = Metrics.histogram "eval/trace_gen_seconds"
 let replicates_run = Metrics.counter "eval/replicates"
 let unusable_replicates = Metrics.counter "eval/unusable_replicates"
 
 (* Wall-clock spent inside [Engine.run_stripe] (one policy's pass over
-   a whole stripe), batch path only; the per-replicate histograms
-   above are scalar-path instruments. *)
+   a whole stripe). *)
 let stripe_engine_seconds = Metrics.timer "eval/stripe_engine_seconds"
 
 (* Simulated waste decomposition of every completed run, one histogram
@@ -190,105 +187,34 @@ let result_of_accumulator name acc =
     profile = profile_of_vector acc.profile;
   }
 
-(* One Monte-Carlo replicate, self-contained: generates (or fetches
-   from the scenario cache) its trace set, runs every policy and the
-   omniscient bound, and accumulates into replicate-local state.  The
-   result depends only on (scenario, policies, replicate) — never on
-   which domain ran it or in which order — which is what makes the
-   parallel fan-out below deterministic. *)
+(* The outcome of one Monte-Carlo replicate: every policy's and the
+   omniscient bound's accumulators.  It depends only on (scenario,
+   policies, replicate) — never on which domain ran it, in which
+   order, or beside which other replicates of its stripe — which is
+   what makes the parallel fan-out below deterministic. *)
 type replicate_outcome = {
   rep_accs : accumulator array;  (* one per policy, input order *)
   rep_lb : accumulator;
   rep_usable : bool;
 }
 
-let run_replicate ~scenario ~policies replicate =
-  let tracing = Tracer.enabled () in
-  let metered = Metrics.enabled () in
-  let t_start = if metered then Unix.gettimeofday () else 0. in
-  (* The per-stage latency histograms feed the metrics exposition
-     (p50/p90/p99 in `ckpt stats` and the OpenMetrics textfile); the
-     stage timers only carry totals. *)
-  let observed hist f =
-    if not metered then f ()
-    else begin
-      let t0 = Unix.gettimeofday () in
-      let v = f () in
-      Metrics.observe hist (Unix.gettimeofday () -. t0);
-      v
-    end
-  in
-  let traces =
-    Instrument.time "trace-generation" (fun () ->
-        observed trace_gen_seconds (fun () -> Scenario.traces scenario ~replicate))
-  in
-  let traced_run ~policy =
-    if not tracing then Engine.run ~scenario ~traces ~policy
-    else begin
-      let buf = Tracer.create_buffer ~name:(Printf.sprintf "rep%d/%s" replicate policy.Policy.name) () in
-      let outcome = Engine.run_traced ~trace:buf ~scenario ~traces ~policy in
-      Tracer.register buf;
-      outcome
-    end
-  in
-  let runs =
-    Array.map
-      (fun policy ->
-        Instrument.time policy.Policy.name (fun () ->
-            observed policy_run_seconds (fun () -> traced_run ~policy)))
-      policies
-  in
-  let best =
-    Array.fold_left
-      (fun acc outcome ->
-        match outcome with
-        | Engine.Completed m -> Float.min acc m.Engine.makespan
-        | Engine.Policy_failed _ -> acc)
-      infinity runs
-  in
-  let rep_accs = Array.map (fun _ -> fresh_accumulator ()) policies in
-  let rep_lb = fresh_accumulator () in
-  let rep_usable = Float.is_finite best && best > 0. in
-  if rep_usable then begin
-    Array.iteri
-      (fun i outcome ->
-        match outcome with
-        | Engine.Completed m -> record rep_accs.(i) ~degradation:(m.Engine.makespan /. best) m
-        | Engine.Policy_failed _ -> ())
-      runs;
-    let lb =
-      Instrument.time "LowerBound" (fun () ->
-          if not tracing then Engine.lower_bound ~scenario ~traces
-          else begin
-            let buf =
-              Tracer.create_buffer ~name:(Printf.sprintf "rep%d/LowerBound" replicate) ()
-            in
-            let lb = Engine.lower_bound_traced ~trace:buf ~scenario ~traces in
-            Tracer.register buf;
-            lb
-          end)
-    in
-    record rep_lb ~degradation:(lb.Engine.makespan /. best) lb
-  end;
-  if metered then begin
-    Metrics.observe replicate_seconds (Unix.gettimeofday () -. t_start);
-    Metrics.incr replicates_run;
-    if not rep_usable then Metrics.incr unusable_replicates
-  end;
-  { rep_accs; rep_lb; rep_usable }
-
-(* Stripe-level sibling of [run_replicate]: generates the stripe's
-   trace sets, computes each slot's initial lifetime template once
-   (shared by every policy's pass), steps every policy over the whole
-   stripe through the batch engine, then reassembles per-replicate
-   outcomes in canonical slot order.  Each slot's accumulators receive
-   exactly the operands [run_replicate] would feed them, in the same
-   order, so the reduced table is bit-identical to the scalar path.
-   The omniscient bound never consults a policy — nothing to batch —
-   and stays on the scalar engine.  Callers must route tracing runs to
-   [run_replicate]; there is no traced batch engine. *)
+(* Replicates [first, first + len) as one stripe: generates (or
+   fetches from the scenario cache) the stripe's trace sets, computes
+   each slot's initial lifetime template once (shared by every
+   policy's pass), steps every policy over the whole stripe, then
+   reassembles per-replicate outcomes in slot order.  Under tracing,
+   each run fills its own buffer, named [rep<replicate>/<policy>],
+   registered in replicate order. *)
 let run_replicate_stripe ~scenario ~policies ~first ~len =
   let metered = Metrics.enabled () in
+  let tracing = Tracer.enabled () in
+  let buffers name =
+    if not tracing then None
+    else
+      Some
+        (Array.init len (fun i ->
+             Tracer.create_buffer ~name:(Printf.sprintf "rep%d/%s" (first + i) name) ()))
+  in
   let observed hist f =
     if not metered then f ()
     else begin
@@ -309,19 +235,22 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
   in
   (* One engine pass per policy over the full stripe; [policy_runs.(j).(i)]
      is policy [j]'s outcome on replicate [first + i]. *)
+  let policy_buffers = Array.map (fun policy -> buffers policy.Policy.name) policies in
   let policy_runs =
-    Array.map
-      (fun policy ->
+    Array.map2
+      (fun policy trace ->
         Instrument.time policy.Policy.name (fun () ->
-            if not metered then Engine.run_stripe ~initial_births ~scenario ~traces ~policy ()
+            if not metered then
+              Engine.run_stripe ~initial_births ?trace ~scenario ~traces ~policy ()
             else begin
               let t0 = Unix.gettimeofday () in
-              let runs = Engine.run_stripe ~initial_births ~scenario ~traces ~policy () in
+              let runs = Engine.run_stripe ~initial_births ?trace ~scenario ~traces ~policy () in
               Metrics.record stripe_engine_seconds (Unix.gettimeofday () -. t0);
               runs
             end))
-      policies
+      policies policy_buffers
   in
+  let lb_buffers = buffers "LowerBound" in
   Array.init len (fun i ->
       let best =
         Array.fold_left
@@ -334,6 +263,7 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
       let rep_accs = Array.map (fun _ -> fresh_accumulator ()) policies in
       let rep_lb = fresh_accumulator () in
       let rep_usable = Float.is_finite best && best > 0. in
+      Array.iter (Option.iter (fun b -> Tracer.register b.(i))) policy_buffers;
       if rep_usable then begin
         Array.iteri
           (fun j runs ->
@@ -341,10 +271,12 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
             | Engine.Completed m -> record rep_accs.(j) ~degradation:(m.Engine.makespan /. best) m
             | Engine.Policy_failed _ -> ())
           policy_runs;
+        let trace = Option.map (fun b -> b.(i)) lb_buffers in
         let lb =
           Instrument.time "LowerBound" (fun () ->
-              Engine.lower_bound ~scenario ~traces:traces.(i))
+              Engine.lower_bound ?trace ~scenario ~traces:traces.(i) ())
         in
+        Option.iter Tracer.register trace;
         record rep_lb ~degradation:(lb.Engine.makespan /. best) lb
       end;
       if metered then begin
@@ -352,11 +284,6 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
         if not rep_usable then Metrics.incr unusable_replicates
       end;
       { rep_accs; rep_lb; rep_usable })
-
-(* The batch engine has no event-stream counterpart: tracing pins the
-   scalar path regardless of CKPT_ENGINE. *)
-let use_batch_engine () =
-  (not (Tracer.enabled ())) && Engine.selected_kind () = Engine.Batch
 
 (* -- replicate stripes -------------------------------------------------------
 
@@ -426,12 +353,7 @@ let stripe_partial ~scenario ~policies ~replicates ~stripe =
   let first, len = stripe_bounds ~replicates ~stripe in
   let policy_array = Array.of_list policies in
   let names = Array.map (fun p -> p.Policy.name) policy_array in
-  let outcomes =
-    if use_batch_engine () then run_replicate_stripe ~scenario ~policies:policy_array ~first ~len
-    else
-      Domain_pool.parallel_init len (fun i ->
-          run_replicate ~scenario ~policies:policy_array (first + i))
-  in
+  let outcomes = run_replicate_stripe ~scenario ~policies:policy_array ~first ~len in
   partial_of_outcomes ~policy_names:names outcomes ~first:0 ~len
 
 let table_of_partials partials =
@@ -600,44 +522,32 @@ let degradation_table ~scenario ~policies ~replicates =
     if top_level then Some (Instrument.progress ~label:"degradation_table" ~total:replicates)
     else None
   in
-  (* Fan the replicates out — under the work-stealing scheduler this
+  (* Fan the stripes out — under the work-stealing scheduler this
      composes with a study's own configuration fan-out (idle domains
-     steal replicate work from busy ones); under the flat pool a
-     nested call runs inline — then reduce serially in replicate
-     order: the merge sequence — hence the table — is bit-for-bit
-     independent of the domain count and of the scheduler backend. *)
-  let outcomes =
-    if use_batch_engine () then begin
-      (* The batch engine amortizes work across a stripe's replicates,
-         so the unit of parallel work is the whole stripe; flattening
-         in stripe order preserves replicate order, and the slot
-         results are bit-identical to the scalar fan-out, so the
-         reduction below is unchanged. *)
-      let sz = stripe_size () in
-      let stripes =
-        Domain_pool.parallel_init (stripe_count ~replicates) (fun stripe ->
-            let first = stripe * sz in
-            let len = min sz (replicates - first) in
-            let os = run_replicate_stripe ~scenario ~policies:policy_array ~first ~len in
-            (match progress with
-            | Some p -> for _ = 1 to len do Instrument.step p done
-            | None -> ());
-            os)
-      in
-      Array.concat (Array.to_list stripes)
-    end
-    else
-      Domain_pool.parallel_init replicates (fun replicate ->
-          let o = run_replicate ~scenario ~policies:policy_array replicate in
-          Option.iter Instrument.step progress;
-          o)
+     steal stripe work from busy ones); under the flat pool a nested
+     call runs inline — then reduce serially in replicate order: the
+     merge sequence — hence the table — is bit-for-bit independent of
+     the domain count and of the scheduler backend.  The engine
+     amortizes work across a stripe's replicates, so the unit of
+     parallel work is the whole stripe; flattening in stripe order
+     preserves replicate order. *)
+  let sz = stripe_size () in
+  let stripes =
+    Domain_pool.parallel_init (stripe_count ~replicates) (fun stripe ->
+        let first = stripe * sz in
+        let len = min sz (replicates - first) in
+        let os = run_replicate_stripe ~scenario ~policies:policy_array ~first ~len in
+        (match progress with
+        | Some p -> for _ = 1 to len do Instrument.step p done
+        | None -> ());
+        os)
   in
+  let outcomes = Array.concat (Array.to_list stripes) in
   (* Reduce through the same stripe structure the sweep store persists
      (within-stripe in replicate order, then across stripes in stripe
      order), so a table assembled from checkpointed stripe partials is
      bit-identical to this one. *)
   let names = Array.map (fun p -> p.Policy.name) policy_array in
-  let sz = stripe_size () in
   let partials =
     List.init (stripe_count ~replicates) (fun stripe ->
         let first = stripe * sz in
@@ -660,7 +570,7 @@ let makespan_profile ~scenario ~policy ~replicates =
   let outcomes =
     Domain_pool.parallel_init replicates (fun replicate ->
         let traces = Scenario.traces scenario ~replicate in
-        match Engine.run ~scenario ~traces ~policy with
+        match Engine.run ~scenario ~traces ~policy () with
         | Engine.Completed m -> Some m
         | Engine.Policy_failed _ -> None)
   in

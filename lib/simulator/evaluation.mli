@@ -6,23 +6,23 @@
     omniscient LowerBound is excluded from the minimum but reported,
     normalized, as its own row); average the per-trace degradations.
 
-    Replicates are evaluated in parallel over OCaml 5 domains
-    ([CKPT_DOMAINS] controls the fan-out; nested inside a study that
-    already parallelizes, the replicates run inline).  Each replicate
-    accumulates into its own state and the per-replicate accumulators
-    are merged serially in replicate order ({!Ckpt_numerics.Summary.merge}),
-    so the table is bit-for-bit identical for every domain count.
-    Set [CKPT_VERBOSE=1] for per-policy wall-clock and replicate
-    progress reporting (see {!Instrument}).
+    Replicates are grouped into stripes ([CKPT_SWEEP_STRIPE]) and each
+    stripe runs through {!Engine.run_stripe} — one lockstep pass per
+    policy over the whole stripe.  Stripes are evaluated in parallel
+    over OCaml 5 domains ([CKPT_DOMAINS] controls the fan-out; nested
+    inside a study that already parallelizes, they run inline).  Each
+    replicate accumulates into its own state and the per-replicate
+    accumulators are merged serially in replicate order
+    ({!Ckpt_numerics.Summary.merge}), so the table is bit-for-bit
+    identical for every domain count.  Set [CKPT_VERBOSE=1] for
+    per-policy wall-clock and replicate progress reporting (see
+    {!Instrument}).
 
-    Under the default [CKPT_ENGINE=batch] (see {!Engine.selected_kind})
-    each stripe of replicates runs through {!Engine.run_stripe} — one
-    lockstep pass per policy over the whole stripe, the unit of
-    parallel work becoming the stripe — and the per-slot outcomes are
-    bit-identical to the scalar engine's, so every table below is
-    unchanged by the engine choice.  Tracing runs ([CKPT_TRACE]) pin
-    the scalar path: the batch engine has no event-stream
-    counterpart. *)
+    With tracing on ([CKPT_TRACE_OUT], {!Ckpt_telemetry.Tracer.enabled})
+    every run also fills its own event buffer, named
+    [rep<replicate>/<policy>] (and [rep<replicate>/LowerBound]), and
+    registers it for export; the table is bit-identical to an untraced
+    one. *)
 
 (** Distributional view of a policy's completed runs, derived from the
     exact {!Ckpt_numerics.Summary.Vector} accumulator: makespan

@@ -119,7 +119,7 @@ let run ~scenario ~policy ~replicate =
       ~name:(Printf.sprintf "explain/rep%d/%s" replicate policy.Policy.name)
       ()
   in
-  let outcome = Engine.run_traced ~trace:buffer ~scenario ~traces ~policy:instrumented in
+  let outcome = Engine.run ~trace:buffer ~scenario ~traces ~policy:instrumented () in
   let recorded = List.rev !recorded in
   let declined =
     match outcome with

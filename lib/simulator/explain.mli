@@ -1,7 +1,7 @@
 (** Decision-timeline replay for [ckpt explain].
 
     Replays one (scenario, policy, replicate) deterministically through
-    {!Engine.run_traced} with the policy wrapped so every decision also
+    a traced {!Engine.run} with the policy wrapped so every decision also
     records its {!Ckpt_policies.Rationale.t} — computed from the very
     observation the policy answered, so the annotated run is
     bit-identical to an unwrapped one.  The timeline pairs each

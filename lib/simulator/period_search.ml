@@ -8,20 +8,21 @@ let default_factors () =
   let fine = List.init 21 (fun i -> 1. +. (0.05 *. float_of_int (i - 10))) in
   List.filter (fun f -> f > 0.) (coarse @ fine) |> List.sort_uniq compare
 
-(* The tuning trace sets are shared across every candidate period:
-   generating them is far more expensive than simulating on them. *)
-let average_tuning_makespan ~scenario ~trace_sets ~period =
+(* The tuning trace sets, and their initial lifetime templates, are
+   shared across every candidate period: generating them is far more
+   expensive than simulating on them.  Each candidate is one stripe
+   over all tuning sets; the makespans are summed in trace-set order. *)
+let average_tuning_makespan ~scenario ~trace_sets ~initial_births ~period =
   let policy = Policy.periodic "tuning" ~period in
   let acc = ref 0. in
   let count = ref 0 in
   Array.iter
-    (fun traces ->
-      match Engine.run ~scenario ~traces ~policy with
+    (function
       | Engine.Completed m ->
           acc := !acc +. m.Engine.makespan;
           incr count
       | Engine.Policy_failed _ -> ())
-    trace_sets;
+    (Engine.run_stripe ~initial_births ~scenario ~traces:trace_sets ~policy ());
   if !count = 0 then infinity else !acc /. float_of_int !count
 
 let best_period ?(factors = default_factors ()) ?(tuning_replicates = 16) ~scenario ~base_period
@@ -46,13 +47,14 @@ let best_period ?(factors = default_factors ()) ?(tuning_replicates = 16) ~scena
     Array.init tuning_replicates (fun r ->
         Scenario.traces scenario ~replicate:(tuning_offset + r))
   in
+  let initial_births = Array.map (Scenario.initial_lifetime_starts scenario) trace_sets in
   (* Candidates are scored independently on the shared tuning sets:
      fan them out (composing with an enclosing study's fan-out under
      the work-stealing scheduler), then pick the winner in candidate
      order so ties break as the sequential fold did. *)
   let scores =
     Ckpt_parallel.Domain_pool.parallel_map_list
-      (fun p -> (p, average_tuning_makespan ~scenario ~trace_sets ~period:p))
+      (fun p -> (p, average_tuning_makespan ~scenario ~trace_sets ~initial_births ~period:p))
       candidates
   in
   List.fold_left

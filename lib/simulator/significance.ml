@@ -40,7 +40,7 @@ let compare_policies ~scenario ~a ~b ~replicates =
   let a_wins = ref 0 and b_wins = ref 0 and ties = ref 0 in
   for replicate = 0 to replicates - 1 do
     let traces = Scenario.traces scenario ~replicate in
-    match (Engine.run ~scenario ~traces ~policy:a, Engine.run ~scenario ~traces ~policy:b) with
+    match (Engine.run ~scenario ~traces ~policy:a (), Engine.run ~scenario ~traces ~policy:b ()) with
     | Engine.Completed ma, Engine.Completed mb ->
         let da = ma.Engine.makespan and db = mb.Engine.makespan in
         diffs := (da -. db) :: !diffs;

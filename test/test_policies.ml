@@ -65,11 +65,11 @@ let test_clamp_chunk () =
   close "floors at zero" 0. (Policy.clamp_chunk ~remaining:10. (-3.))
 
 let test_purity_declarations () =
-  (* The [decide] field is the batch engine's licence to memoize a
-     policy's decisions across replicate slots.  Pure scalar policies
-     must declare it; anything stateful (the DP cursors) or
-     constructed through the no-promises [stateless] escape hatch must
-     not — a wrong declaration here silently corrupts batch runs. *)
+  (* The [decide] field declares a policy's decisions a pure function
+     of the scalar observation fields; external drivers read it.  Pure
+     scalar policies must declare it; anything stateful (the DP
+     cursors) or constructed through the no-promises [stateless]
+     escape hatch must not. *)
   let pure p = Option.is_some p.Policy.decide in
   check Alcotest.bool "periodic is pure" true (pure (Policy.periodic "p" ~period:500.));
   check Alcotest.bool "pure_scalar is pure" true

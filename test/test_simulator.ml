@@ -45,7 +45,7 @@ let period600 = Policy.periodic "periodic-600" ~period:600.
 let run_metrics ?(processors = 1) ~failures policy =
   let scenario = tiny_scenario ~processors () in
   let traces = traces_of_failures ~units:processors failures in
-  match Engine.run ~scenario ~traces ~policy with
+  match Engine.run ~scenario ~traces ~policy () with
   | Engine.Completed m -> m
   | Engine.Policy_failed _ -> Alcotest.fail "unexpected policy failure"
 
@@ -122,15 +122,15 @@ let test_engine_grouped_units_equivalent () =
   let scenario_grouped = Scenario.create ~horizon:1e6 ~start_time:0. grouped in
   let scenario_single = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 300.; 1900. ]) ] in
-  let a = Engine.run ~scenario:scenario_grouped ~traces ~policy:period600 in
-  let b = Engine.run ~scenario:scenario_single ~traces ~policy:period600 in
+  let a = Engine.run ~scenario:scenario_grouped ~traces ~policy:period600 () in
+  let b = Engine.run ~scenario:scenario_single ~traces ~policy:period600 () in
   check Alcotest.bool "identical executions" true (a = b)
 
 let test_engine_policy_failed () =
   let declining = Policy.stateless "no" (fun _ -> None) in
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, []) ] in
-  match Engine.run ~scenario ~traces ~policy:declining with
+  match Engine.run ~scenario ~traces ~policy:declining () with
   | Engine.Policy_failed { at_time; remaining } ->
       close "at start" 0. at_time;
       close "nothing done" 1000. remaining
@@ -152,8 +152,8 @@ let test_engine_oversized_chunk_clamped () =
 let test_engine_deterministic () =
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 123.; 2345. ]) ] in
-  let m1 = Engine.run ~scenario ~traces ~policy:period600 in
-  let m2 = Engine.run ~scenario ~traces ~policy:period600 in
+  let m1 = Engine.run ~scenario ~traces ~policy:period600 () in
+  let m2 = Engine.run ~scenario ~traces ~policy:period600 () in
   check Alcotest.bool "identical outcomes" true (m1 = m2)
 
 (* -- lower bound -------------------------------------------------------------- *)
@@ -161,7 +161,7 @@ let test_engine_deterministic () =
 let test_lower_bound_no_failures () =
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, []) ] in
-  let m = Engine.lower_bound ~scenario ~traces in
+  let m = Engine.lower_bound ~scenario ~traces () in
   close "one chunk + C" 1100. m.Engine.makespan;
   check Alcotest.int "single chunk" 1 m.Engine.chunks
 
@@ -170,7 +170,7 @@ let test_lower_bound_just_in_time () =
      exactly at the failure, then downtime + recovery + the rest. *)
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 300. ]) ] in
-  let m = Engine.lower_bound ~scenario ~traces in
+  let m = Engine.lower_bound ~scenario ~traces () in
   close "no execution wasted" 0. m.Engine.wasted_time;
   close "makespan" (300. +. 50. +. 100. +. 800. +. 100.) m.Engine.makespan
 
@@ -178,7 +178,7 @@ let test_lower_bound_idle_when_too_close () =
   (* Failure at 60 < C: nothing can be saved; idle until it strikes. *)
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 60. ]) ] in
-  let m = Engine.lower_bound ~scenario ~traces in
+  let m = Engine.lower_bound ~scenario ~traces () in
   close "idle time wasted" 60. m.Engine.wasted_time;
   close "makespan" (60. +. 50. +. 100. +. 1000. +. 100.) m.Engine.makespan
 
@@ -194,10 +194,10 @@ let test_lower_bound_beats_policies () =
   let scenario = Scenario.create ~horizon:1e7 ~start_time:0. job in
   for replicate = 0 to 9 do
     let traces = Scenario.traces scenario ~replicate in
-    let lb = Engine.lower_bound ~scenario ~traces in
+    let lb = Engine.lower_bound ~scenario ~traces () in
     List.iter
       (fun period ->
-        match Engine.run ~scenario ~traces ~policy:(Policy.periodic "p" ~period) with
+        match Engine.run ~scenario ~traces ~policy:(Policy.periodic "p" ~period) () with
         | Engine.Completed m ->
             check Alcotest.bool
               (Printf.sprintf "lb %.0f <= %.0f (T=%g, r=%d)" lb.Engine.makespan
@@ -227,7 +227,7 @@ let partition_prop ~name ~dist =
       in
       let traces = Scenario.traces scenario ~replicate in
       let buf = Tracer.create_buffer ~capacity:65_536 ~name:"prop" () in
-      match Engine.run_traced ~trace:buf ~scenario ~traces ~policy:(Policy.periodic "p" ~period) with
+      match Engine.run ~trace:buf ~scenario ~traces ~policy:(Policy.periodic "p" ~period) () with
       | Engine.Completed m ->
           let parts =
             m.Engine.useful_work +. m.Engine.checkpoint_time +. m.Engine.wasted_time
@@ -399,7 +399,7 @@ let test_engine_fast_paths_bit_identical () =
     let policy = Ckpt_policies.Dp_policies.dp_next_failure ~max_states:60 job in
     List.map
       (fun replicate ->
-        Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate) ~policy)
+        Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate) ~policy ())
       [ 0; 1; 2 ]
   in
   let fast = run () in
@@ -621,7 +621,7 @@ let test_simulated_optexp_matches_theorem1 () =
   let acc = ref 0. in
   for replicate = 0 to n - 1 do
     let traces = Scenario.traces scenario ~replicate in
-    match Engine.run ~scenario ~traces ~policy with
+    match Engine.run ~scenario ~traces ~policy () with
     | Engine.Completed m -> acc := !acc +. m.Engine.makespan
     | Engine.Policy_failed _ -> Alcotest.fail "periodic cannot fail"
   done;
@@ -642,11 +642,9 @@ let test_cost_profile_constant_matches_run () =
      reproduce Engine.run exactly. *)
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 300.; 1900. ]) ] in
-  let a = Engine.run ~scenario ~traces ~policy:period600 in
+  let a = Engine.run ~scenario ~traces ~policy:period600 () in
   let b =
-    Engine.run_with_cost_profile
-      ~cost_profile:(fun ~progress:_ -> (100., 100.))
-      ~scenario ~traces ~policy:period600
+    Engine.run ~cost_profile:(fun ~progress:_ -> (100., 100.)) ~scenario ~traces ~policy:period600 ()
   in
   check Alcotest.bool "identical" true (a = b)
 
@@ -656,7 +654,7 @@ let test_cost_profile_growing_cost () =
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, []) ] in
   let profile ~progress = ((if progress >= 1. then 200. else 100.), 100.) in
-  match Engine.run_with_cost_profile ~cost_profile:profile ~scenario ~traces ~policy:period600 with
+  match Engine.run ~cost_profile:profile ~scenario ~traces ~policy:period600 () with
   | Engine.Completed m ->
       close "checkpoint time reflects the profile" 300. m.Engine.checkpoint_time;
       close "makespan" 1300. m.Engine.makespan
@@ -668,7 +666,7 @@ let test_cost_profile_recovery_cost () =
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 300. ]) ] in
   let profile ~progress = (100., if progress <= 0. then 500. else 100.) in
-  match Engine.run_with_cost_profile ~cost_profile:profile ~scenario ~traces ~policy:period600 with
+  match Engine.run ~cost_profile:profile ~scenario ~traces ~policy:period600 () with
   | Engine.Completed m ->
       close "expensive early recovery" 500. m.Engine.recovery_time;
       close "makespan" (300. +. 50. +. 500. +. 700. +. 500.) m.Engine.makespan
@@ -681,7 +679,7 @@ let test_cost_profile_recovery_at_committed_progress () =
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 900. ]) ] in
   let profile ~progress = (100., if progress >= 0.5 then 300. else 100.) in
-  match Engine.run_with_cost_profile ~cost_profile:profile ~scenario ~traces ~policy:period600 with
+  match Engine.run ~cost_profile:profile ~scenario ~traces ~policy:period600 () with
   | Engine.Completed m ->
       close "recovery priced at committed progress" 300. m.Engine.recovery_time;
       close "wasted" 200. m.Engine.wasted_time;
@@ -717,7 +715,7 @@ let test_traced_weibull_reconciles () =
         ~name:(Printf.sprintf "rep%d/periodic-1000" replicate)
         ()
     in
-    match Engine.run_traced ~trace:buf ~scenario ~traces ~policy:(Policy.periodic "p" ~period:1000.) with
+    match Engine.run ~trace:buf ~scenario ~traces ~policy:(Policy.periodic "p" ~period:1000.) () with
     | Engine.Completed m ->
         check Alcotest.int "no dropped events" 0 (Tracer.dropped buf);
         let t = Tracer.totals buf in
@@ -777,8 +775,8 @@ let test_traced_cost_profile_reconciles () =
         ()
     in
     match
-      Engine.run_with_cost_profile_traced ~trace:buf ~cost_profile ~scenario ~traces
-        ~policy:(Policy.periodic "p" ~period:1000.)
+      Engine.run ~trace:buf ~cost_profile ~scenario ~traces
+        ~policy:(Policy.periodic "p" ~period:1000.) ()
     with
     | Engine.Completed m ->
         check Alcotest.int "no dropped events" 0 (Tracer.dropped buf);
@@ -831,7 +829,7 @@ let check_explained scenario =
     e.Explain.decisions;
   (* The instrumented replay must not perturb the execution. *)
   let plain =
-    Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate:1) ~policy
+    Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate:1) ~policy ()
   in
   check Alcotest.bool "replay bit-identical to plain run" true (plain = e.Explain.outcome);
   let rendered = Format.asprintf "%a" (Explain.print ~limit:5) e in
@@ -942,15 +940,15 @@ let test_profile_stripe_sched_bit_identity () =
         [ "seq"; "steal" ])
     [ 1; 4; 16 ]
 
-(* -- batch (striped lockstep) engine ---------------------------------------- *)
+(* -- stripe engine vs. the scalar reference ----------------------------------- *)
 
-(* The tentpole guarantee: every slot of [Engine.run_stripe] is
-   bit-identical to a scalar [Engine.run] on the same trace set —
-   across distributions, policy kinds (memoizable pure-scalar,
-   non-pure, declining mid-run), stripe widths, and a nonzero
-   start_time (exercising the initial-lifetime template).  The
-   declining policy makes some slots finish as [Policy_failed] while
-   others keep stepping: the straggler compaction path. *)
+(* Every slot of [Engine.run_stripe] is bit-identical to the test-only
+   scalar reference stepper on the same trace set — across
+   distributions, policy kinds (pure-scalar, age-dependent, declining
+   mid-run), stripe widths, and a nonzero start_time (exercising the
+   initial-lifetime template).  The declining policy makes some slots
+   finish as [Policy_failed] while others keep stepping: the straggler
+   compaction path. *)
 let prop_batch_equals_scalar =
   QCheck2.Test.make ~name:"run_stripe slot k == run on traces k (dist x policy x width)"
     ~count:40
@@ -973,15 +971,14 @@ let prop_batch_equals_scalar =
         match policy_i with
         | 0 -> Policy.periodic "p" ~period:1200.
         | 1 ->
-            (* Pure-scalar (memoized) but declining below a remaining
-               threshold: Policy_failed slots become stragglers the
-               live-slot compaction must not disturb. *)
+            (* Declining below a remaining threshold: Policy_failed
+               slots become stragglers the live-slot compaction must
+               not disturb. *)
             Policy.pure_scalar "quits" (fun obs ->
                 if obs.Policy.remaining < 6000. then None else Some 1500.)
         | _ ->
-            (* Not declared pure: per-slot instances, no memo; the
-               decision depends on min_age so observations genuinely
-               vary across slots. *)
+            (* The decision depends on min_age, so observations
+               genuinely vary across slots. *)
             Policy.stateless "agey" (fun obs ->
                 Some (Float.max 400. (1000. +. (0.1 *. obs.Policy.min_age))))
       in
@@ -989,14 +986,13 @@ let prop_batch_equals_scalar =
       let traces =
         Array.init width (fun k -> Scenario.traces scenario ~replicate:(replicate + k))
       in
-      let scalar = Array.map (fun tr -> Engine.run ~scenario ~traces:tr ~policy) traces in
+      let scalar = Array.map (fun tr -> Scalar_reference.run ~scenario ~traces:tr ~policy) traces in
       let batch = Engine.run_stripe ~scenario ~traces ~policy () in
       compare scalar batch = 0)
 
 let test_batch_dp_policy_bit_identical () =
-  (* DPNextFailure is the policy the batch engine's lazy age ledger
-     and batched hazard lookups exist for — and, being stateful, the
-     one that must never hit the decision memo. *)
+  (* DPNextFailure is the policy the lazy per-slot age ledger and
+     batched hazard lookups exist for. *)
   let job =
     Job.create
       ~dist:(Weibull.of_mtbf ~mtbf:1e6 ~shape:0.7)
@@ -1008,80 +1004,153 @@ let test_batch_dp_policy_bit_identical () =
   let scenario = Scenario.create ~horizon:1e7 ~start_time:0. job in
   let policy = Ckpt_policies.Dp_policies.dp_next_failure ~max_states:60 job in
   let traces = Array.init 3 (fun replicate -> Scenario.traces scenario ~replicate) in
-  let scalar = Array.map (fun tr -> Engine.run ~scenario ~traces:tr ~policy) traces in
+  let scalar = Array.map (fun tr -> Scalar_reference.run ~scenario ~traces:tr ~policy) traces in
   let batch = Engine.run_stripe ~scenario ~traces ~policy () in
-  check Alcotest.bool "DP policy batch == scalar" true (compare scalar batch = 0)
+  check Alcotest.bool "DP policy stripe == scalar reference" true (compare scalar batch = 0)
 
 let test_engine_matrix_bit_identity () =
   (* Golden matrix: the full degradation table (Welford columns
-     included) at every CKPT_ENGINE x CKPT_SCHED combination equals
-     the scalar/sequential reference of the same stripe width. *)
+     included) under every CKPT_SCHED backend equals the sequential
+     reference of the same stripe width. *)
   let policies () =
     [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000.;
       Ckpt_policies.Dp_policies.dp_makespan ~cap_states:40 (eval_scenario ()).Scenario.job ]
   in
-  let table_with ~engine ~sched ~stripe =
-    with_env "CKPT_ENGINE" engine (fun () ->
-        with_env "CKPT_SCHED" sched (fun () ->
-            with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
-                Evaluation.degradation_table ~scenario:(eval_scenario ())
-                  ~policies:(policies ()) ~replicates:9)))
+  let table_with ~sched ~stripe =
+    with_env "CKPT_SCHED" sched (fun () ->
+        with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
+            Evaluation.degradation_table ~scenario:(eval_scenario ())
+              ~policies:(policies ()) ~replicates:9))
   in
   List.iter
     (fun stripe ->
-      let reference = table_with ~engine:"scalar" ~sched:"seq" ~stripe in
+      let reference = table_with ~sched:"seq" ~stripe in
       List.iter
-        (fun (engine, sched) ->
-          let t = table_with ~engine ~sched ~stripe in
+        (fun sched ->
+          let t = table_with ~sched ~stripe in
           check Alcotest.bool
-            (Printf.sprintf "engine=%s sched=%s stripe=%d == scalar/seq reference" engine
-               sched stripe)
+            (Printf.sprintf "sched=%s stripe=%d == seq reference" sched stripe)
             true
             (compare reference t = 0))
-        [ ("batch", "seq"); ("scalar", "steal"); ("batch", "steal") ])
+        [ "steal"; "flat" ])
     [ 1; 4; 16 ]
 
-let test_batch_memo_hits () =
-  (* Eight identical failure-free slots under a pure-scalar policy:
-     every slot's decisions are the same observation tuple, so the
-     stripe pays one policy evaluation per distinct decision and the
-     memo serves the other seven slots. *)
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ~prefix:"engine/" ())
-    (fun () ->
-      Metrics.reset ~prefix:"engine/" ();
-      let scenario = tiny_scenario () in
-      let width = 8 in
-      let traces = Array.init width (fun _ -> traces_of_failures ~units:1 [ (0, []) ]) in
-      let outcomes = Engine.run_stripe ~scenario ~traces ~policy:period600 () in
-      Array.iter
-        (function
-          | Engine.Completed _ -> ()
-          | Engine.Policy_failed _ -> Alcotest.fail "periodic cannot fail")
-        outcomes;
-      let counter name =
-        match Metrics.find name with Some (Metrics.Counter n) -> n | _ -> 0
-      in
-      (* Periodic-600 over W = 1000 makes exactly two decisions per
-         slot (chunks 600 and 400). *)
-      check Alcotest.int "distinct decisions solved once" 2
-        (counter "engine/decision_memo_misses");
-      check Alcotest.int "remaining slots served by the memo"
-        (2 * (width - 1))
-        (counter "engine/decision_memo_hits"))
+(* The committed digests were recorded from the scalar engine before
+   it was folded into [run_stripe]: every cell's per-slot outcomes and
+   event streams — plain, progress-dependent-cost and lower-bound runs
+   — must come out unchanged, whether the slots run as one stripe or
+   one [Engine.run] each, traced or not. *)
+let test_engine_goldens () =
+  let module G = Engine_golden in
+  let goldens =
+    G.load (Filename.concat (Filename.dirname Sys.executable_name) "engine_goldens.txt")
+  in
+  check Alcotest.int "golden cells" 216 (List.length goldens);
+  let seen = ref 0 in
+  let expect key actual =
+    incr seen;
+    match List.assoc_opt key goldens with
+    | None -> Alcotest.fail ("no golden for " ^ key)
+    | Some d -> check Alcotest.string key d actual
+  in
+  let both ~kind ~dist ?policy ~width ~start_time ~plain ~traced () =
+    let bufs = G.buffers ~width in
+    let traced = traced bufs in
+    check Alcotest.bool "traced outcomes == untraced" true (compare plain traced = 0);
+    expect (G.cell ~kind ~dist ?policy ~width ~start_time ()) (G.digest_outcomes plain);
+    expect (G.cell ~kind:(kind ^ "-trace") ~dist ?policy ~width ~start_time ()) (G.digest_streams bufs)
+  in
+  List.iter
+    (fun (dist, d) ->
+      List.iter
+        (fun start_time ->
+          let scenario = G.scenario ~dist:d ~start_time in
+          List.iter
+            (fun width ->
+              let traces = G.traces scenario ~width in
+              List.iter
+                (fun (policy, p) ->
+                  let plain = Engine.run_stripe ~scenario ~traces ~policy:p () in
+                  let singles = Array.map (fun tr -> Engine.run ~scenario ~traces:tr ~policy:p ()) traces in
+                  check Alcotest.bool "stripe == one run per slot" true (compare plain singles = 0);
+                  both ~kind:"run" ~dist ~policy ~width ~start_time ~plain
+                    ~traced:(fun trace -> Engine.run_stripe ~trace ~scenario ~traces ~policy:p ())
+                    ();
+                  let cost_profile = G.cost_profile in
+                  both ~kind:"cost" ~dist ~policy ~width ~start_time
+                    ~plain:(Engine.run_stripe ~cost_profile ~scenario ~traces ~policy:p ())
+                    ~traced:(fun trace ->
+                      Array.mapi
+                        (fun k tr ->
+                          Engine.run ~trace:trace.(k) ~cost_profile ~scenario ~traces:tr ~policy:p ())
+                        traces)
+                    ())
+                (G.policies scenario.Scenario.job);
+              let lb ?trace k tr =
+                Engine.Completed
+                  (Engine.lower_bound ?trace:(Option.map (fun b -> b.(k)) trace) ~scenario ~traces:tr ())
+              in
+              both ~kind:"lb" ~dist ~width ~start_time ~plain:(Array.mapi (fun k -> lb k) traces)
+                ~traced:(fun trace -> Array.mapi (lb ~trace) traces)
+                ())
+            G.widths)
+        G.start_times)
+    G.dists;
+  check Alcotest.int "every golden checked" (List.length goldens) !seen
 
-let test_selected_kind_env () =
-  check Alcotest.bool "default is batch" true
-    (with_env "CKPT_ENGINE" "" (fun () -> Engine.selected_kind () = Engine.Batch));
-  check Alcotest.bool "scalar opt-out" true
-    (with_env "CKPT_ENGINE" "scalar" (fun () -> Engine.selected_kind () = Engine.Scalar));
-  check Alcotest.bool "explicit batch" true
-    (with_env "CKPT_ENGINE" "batch" (fun () -> Engine.selected_kind () = Engine.Batch));
-  check Alcotest.bool "malformed falls back to batch" true
-    (with_env "CKPT_ENGINE" "turbo" (fun () -> Engine.selected_kind () = Engine.Batch))
+(* Tracing must not perturb a table, and every buffer a traced table
+   registers must reconcile bitwise with the metrics of the run it
+   names. *)
+let test_traced_table_bit_identical () =
+  let scenario = weibull_scenario () in
+  let policies () =
+    [ Policy.periodic "periodic" ~period:1000.;
+      Policy.stateless "agey" (fun obs ->
+          Some (Float.max 400. (1000. +. (0.1 *. obs.Policy.min_age)))) ]
+  in
+  let replicates = 9 in
+  with_env "CKPT_SWEEP_STRIPE" "4" (fun () ->
+      let untraced = Evaluation.degradation_table ~scenario ~policies:(policies ()) ~replicates in
+      ignore (Tracer.drain ());
+      Tracer.set_enabled true;
+      let traced, (buffers, rejected) =
+        Fun.protect
+          ~finally:(fun () -> Tracer.set_enabled false)
+          (fun () ->
+            let t = Evaluation.degradation_table ~scenario ~policies:(policies ()) ~replicates in
+            (t, Tracer.drain ()))
+      in
+      check Alcotest.bool "traced table == untraced, bit for bit" true (compare untraced traced = 0);
+      check Alcotest.int "no rejected registrations" 0 rejected;
+      check Alcotest.int "one buffer per run"
+        ((replicates * 2) + traced.Evaluation.usable_replicates)
+        (List.length buffers);
+      let policy_of name = List.find (fun p -> p.Policy.name = name) (policies ()) in
+      List.iter
+        (fun buf ->
+          let name = Tracer.name buf in
+          let replicate, run = Scanf.sscanf name "rep%d/%s" (fun r p -> (r, p)) in
+          let traces = Scenario.traces scenario ~replicate in
+          let m =
+            if run = "LowerBound" then Engine.lower_bound ~scenario ~traces ()
+            else
+              match Engine.run ~scenario ~traces ~policy:(policy_of run) () with
+              | Engine.Completed m -> m
+              | Engine.Policy_failed _ -> Alcotest.fail (name ^ ": unexpected policy failure")
+          in
+          let t = Tracer.totals buf in
+          let exact what a b =
+            check Alcotest.bool (name ^ " " ^ what) true (Int64.bits_of_float a = Int64.bits_of_float b)
+          in
+          check Alcotest.int (name ^ " dropped") 0 (Tracer.dropped buf);
+          exact "work" m.Engine.useful_work t.Tracer.work;
+          exact "checkpoint" m.Engine.checkpoint_time t.Tracer.checkpoint;
+          exact "waste" m.Engine.wasted_time t.Tracer.waste;
+          exact "recovery" m.Engine.recovery_time t.Tracer.recovery;
+          exact "downtime" m.Engine.stall_time t.Tracer.downtime;
+          check Alcotest.int (name ^ " failures") m.Engine.failures t.Tracer.failures;
+          check Alcotest.int (name ^ " chunks") m.Engine.chunks t.Tracer.chunks)
+        buffers)
 
 let test_instrument_scoped_resets () =
   Metrics.set_enabled true;
@@ -1168,8 +1237,8 @@ let () =
           Alcotest.test_case "DP policy bit-identical" `Quick test_batch_dp_policy_bit_identical;
           Alcotest.test_case "engine x sched x stripe golden matrix" `Quick
             test_engine_matrix_bit_identity;
-          Alcotest.test_case "decision memo hits" `Quick test_batch_memo_hits;
-          Alcotest.test_case "CKPT_ENGINE selection" `Quick test_selected_kind_env;
+          Alcotest.test_case "scalar-engine golden digests" `Quick test_engine_goldens;
+          Alcotest.test_case "traced table bit-identical" `Quick test_traced_table_bit_identical;
         ] );
       ( "period search",
         [

@@ -14,7 +14,7 @@
      fit-log      MLE-fit lifetime models to an availability log
      experiment   regenerate a paper table/figure by id
      sweep        run experiments against a resumable checkpoint store
-     sched-report per-worker utilization breakdown of the steal scheduler
+     sched-report per-worker utilization breakdown of the domain pool
      bench        diff/check BENCH_*.json artifacts (regression tooling) *)
 
 open Cmdliner
@@ -486,16 +486,15 @@ let stats_cmd =
 
 (* -- sched-report ------------------------------------------------------------ *)
 
-(* Run a stage-6-shaped nested workload under the steal scheduler with
-   the flight recorder armed, then break each worker's wall time down
-   by state.  This is the triage tool for ROADMAP open item 5: the
-   dominant-overhead line names which of the three candidate causes
-   (failed steals, parking churn, injector contention) actually costs
-   time on this machine. *)
+(* Run a skewed, nested study x replicate workload on the domain pool
+   with the flight recorder armed, then break each worker's wall time
+   down by state.  The dominant-overhead line names which of the three
+   candidate costs (failed region lookups, parking churn, region
+   publishing) actually costs time on this machine. *)
 let sched_report_cmd =
   let configs_arg =
     let doc =
-      "Processor counts, one nested evaluation per entry (the skew mirrors bench stage 6)."
+      "Processor counts, one nested evaluation per entry (per-point cost grows with the count)."
     in
     Arg.(
       value
@@ -514,11 +513,9 @@ let sched_report_cmd =
       prerr_endline "ckpt sched-report: empty --configs";
       exit 2
     end;
-    (* The recorder instruments the steal backend only, and the steal
-       backend only engages with >= 2 domains — on a 1-core host the
+    (* The pool only engages with >= 2 domains — on a 1-core host the
        report still has to show scheduler behavior, not the inline
-       fallback. *)
-    Unix.putenv "CKPT_SCHED" "steal";
+       path. *)
     T.Flight_recorder.set_enabled true;
     let domains = max 2 (Ckpt_parallel.Domain_pool.recommended_domains ()) in
     Unix.putenv "CKPT_DOMAINS" (string_of_int domains);
@@ -641,7 +638,7 @@ let bench_diff_cmd =
        ~doc:
          "Compare two BENCH_*.json artifacts provenance-aware: per-metric thresholds, \
           machine-readable verdict on stdout, nonzero exit on regression, distinct exit \
-          code (3) when the sidecars disagree on core count or scheduler backend.")
+          code (3) when the sidecars disagree on domain or core count.")
     term
 
 let bench_check_cmd =

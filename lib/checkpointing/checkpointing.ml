@@ -34,9 +34,8 @@ module Store = struct
   module Atomic_file = Ckpt_store.Atomic_file
 end
 
-(** Multicore fan-out: persistent work-stealing scheduler. *)
+(** Multicore fan-out: one persistent, composing domain pool. *)
 module Parallel = struct
-  module Deque = Ckpt_parallel.Deque
   module Domain_pool = Ckpt_parallel.Domain_pool
 end
 

@@ -522,12 +522,11 @@ let degradation_table ~scenario ~policies ~replicates =
     if top_level then Some (Instrument.progress ~label:"degradation_table" ~total:replicates)
     else None
   in
-  (* Fan the stripes out — under the work-stealing scheduler this
-     composes with a study's own configuration fan-out (idle domains
-     steal stripe work from busy ones); under the flat pool a nested
-     call runs inline — then reduce serially in replicate order: the
-     merge sequence — hence the table — is bit-for-bit independent of
-     the domain count and of the scheduler backend.  The engine
+  (* Fan the stripes out — on the domain pool this composes with a
+     study's own configuration fan-out (idle domains claim stripes of
+     busy ones' nested regions) — then reduce serially in replicate
+     order: the merge sequence — hence the table — is bit-for-bit
+     independent of the domain count.  The engine
      amortizes work across a stripe's replicates, so the unit of
      parallel work is the whole stripe; flattening in stripe order
      preserves replicate order. *)

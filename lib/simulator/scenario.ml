@@ -25,45 +25,28 @@ type stripe = {
   lock : Mutex.t;
   table : (int, Trace_set.t) Hashtbl.t;
   order : int Queue.t;
-  capacity : int;
   mutable hits : int;
   mutable misses : int;
 }
 
 type cache = { stripes : stripe array }
 
-let default_cache_capacity = 64
-let max_stripes = 16
+(* 64 trace sets per scenario: 16 stripes of 4. *)
+let cache_stripes = 16
+let stripe_capacity = 4
 
-let cache_capacity () =
-  match Sys.getenv_opt "CKPT_TRACE_CACHE" with
-  | Some s -> begin
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | Some _ | None -> default_cache_capacity
-    end
-  | None -> default_cache_capacity
-
-(* Spread the total capacity over the stripes (never a zero-capacity
-   stripe: with fewer slots than stripes, use fewer stripes). *)
 let create_cache () =
-  let capacity = cache_capacity () in
-  if capacity = 0 then { stripes = [||] }
-  else begin
-    let n = min max_stripes capacity in
-    {
-      stripes =
-        Array.init n (fun i ->
-            {
-              lock = Mutex.create ();
-              table = Hashtbl.create 16;
-              order = Queue.create ();
-              capacity = (capacity / n) + (if i < capacity mod n then 1 else 0);
-              hits = 0;
-              misses = 0;
-            });
-    }
-  end
+  {
+    stripes =
+      Array.init cache_stripes (fun _ ->
+          {
+            lock = Mutex.create ();
+            table = Hashtbl.create 16;
+            order = Queue.create ();
+            hits = 0;
+            misses = 0;
+          });
+  }
 
 type t = {
   job : Job.t;
@@ -96,34 +79,30 @@ let locked s f =
 
 (* One trace per failure unit. *)
 let traces t ~replicate =
-  let c = t.cache in
-  if Array.length c.stripes = 0 then generate t ~replicate
-  else begin
-    let s = c.stripes.(abs (replicate mod Array.length c.stripes)) in
-    match
+  let s = t.cache.stripes.(abs (replicate mod cache_stripes)) in
+  match
+    locked s (fun () ->
+        match Hashtbl.find_opt s.table replicate with
+        | Some v ->
+            s.hits <- s.hits + 1;
+            Metrics.incr cache_hits;
+            Some v
+        | None ->
+            s.misses <- s.misses + 1;
+            Metrics.incr cache_misses;
+            None)
+  with
+  | Some v -> v
+  | None ->
+      let v = generate t ~replicate in
       locked s (fun () ->
-          match Hashtbl.find_opt s.table replicate with
-          | Some v ->
-              s.hits <- s.hits + 1;
-              Metrics.incr cache_hits;
-              Some v
-          | None ->
-              s.misses <- s.misses + 1;
-              Metrics.incr cache_misses;
-              None)
-    with
-    | Some v -> v
-    | None ->
-        let v = generate t ~replicate in
-        locked s (fun () ->
-            if not (Hashtbl.mem s.table replicate) then begin
-              if Hashtbl.length s.table >= s.capacity then
-                Hashtbl.remove s.table (Queue.pop s.order);
-              Hashtbl.add s.table replicate v;
-              Queue.push replicate s.order
-            end);
-        v
-  end
+          if not (Hashtbl.mem s.table replicate) then begin
+            if Hashtbl.length s.table >= stripe_capacity then
+              Hashtbl.remove s.table (Queue.pop s.order);
+            Hashtbl.add s.table replicate v;
+            Queue.push replicate s.order
+          end);
+      v
 
 let cache_stats t =
   Array.fold_left

@@ -7,9 +7,8 @@ type cache
     Trace sets are pure functions of the scenario and the replicate
     index; the cache only saves regeneration work — the period
     search's tuning sets, policy sweeps re-running the same
-    replicates — and never changes results.  Capacity comes from the
-    [CKPT_TRACE_CACHE] environment variable (default 64 sets;
-    0 disables caching).  Safe to share across domains. *)
+    replicates — and never changes results.  It holds 64 sets.  Safe
+    to share across domains. *)
 
 type t = {
   job : Ckpt_policies.Job.t;

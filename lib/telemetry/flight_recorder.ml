@@ -1,14 +1,13 @@
 (* Scheduler flight recorder: what is each worker domain doing, when?
 
-   The steal scheduler's counters (sched/steals, sched/idle_park, ...)
-   say how often things happened but not where the wall time went —
-   open item 5's regression (steal slower than flat at 2–8 domains)
-   needs per-worker, per-interval visibility.  This module records
-   worker *state intervals* — run-task, steal-attempt, steal-success,
-   inject, park, unpark, join-help — into per-track ring buffers with
-   the same single-writer discipline as [Tracer]: each track is owned
-   by exactly one domain, so recording takes no lock and no atomic
-   beyond the enabled check.
+   The domain pool's counters (sched/regions, sched/idle_park, ...)
+   say how often things happened but not where the wall time went.
+   This module records worker *state intervals* — run-task,
+   steal-attempt (a region lookup that found nothing), steal-success,
+   inject (publishing a region), park, unpark, join-help — into
+   per-track ring buffers with the same single-writer discipline as
+   [Tracer]: each track is owned by exactly one domain, so recording
+   takes no lock and no atomic beyond the enabled check.
 
    Unlike [Tracer] (simulated clock), spans here are real wall-clock
    intervals from [Unix.gettimeofday], clamped monotone per track so a
@@ -216,11 +215,11 @@ let state_seconds wr st =
 let state_count wr st =
   List.fold_left (fun acc r -> if r.st_state = st then acc + r.st_count else acc) 0 wr.wr_states
 
-(* The three candidate explanations for steal-scheduler overhead, each
-   summed across all workers.  "Failed steals" is time spent in
-   steal-attempt spans that found nothing; "parking churn" is time
-   parked plus the wake transitions; "injector contention" is time
-   spent pushing tickets through the shared injector. *)
+(* The three candidate explanations for pool overhead, each summed
+   across all workers.  "Failed steals" is time spent in region
+   lookups that found nothing; "parking churn" is time parked plus the
+   wake transitions; "region publishing" is time spent pushing regions
+   onto the pool's lock-guarded list. *)
 type overhead = { ov_label : string; ov_seconds : float; ov_events : int }
 
 let overheads reports =
@@ -233,7 +232,7 @@ let overheads reports =
       ov_seconds = total Park;
       ov_events = count Park + count Unpark;
     };
-    { ov_label = "injector contention"; ov_seconds = total Inject; ov_events = count Inject };
+    { ov_label = "region publishing"; ov_seconds = total Inject; ov_events = count Inject };
   ]
   |> List.stable_sort (fun a b -> Float.compare b.ov_seconds a.ov_seconds)
 

@@ -1,9 +1,10 @@
 (** Scheduler flight recorder: per-worker wall-clock state intervals.
 
-    Each worker domain of the steal scheduler owns one {!track} and
-    records which state it is in — running a task, attempting or
-    completing a steal, injecting tickets, parked, or helping another
-    region's join — as spans on a per-track monotone wall clock.
+    Each domain taking part in the domain pool owns one {!track} and
+    records which state it is in — running a task, looking for an
+    open region (and finding one or not), publishing a region, parked,
+    or helping another region while joining its own — as spans on a
+    per-track monotone wall clock.
     Recording is single-writer (the owning domain) and lock-free;
     reports and exports run after the parallel region quiesces.
 
@@ -18,9 +19,9 @@ type state =
   | Run_task
   | Steal_attempt  (** looked for work and found none *)
   | Steal_success  (** looked for work and found a region *)
-  | Inject
+  | Inject  (** publishing a region on the pool's open-region list *)
   | Park
-  | Unpark  (** instant: woken by an epoch bump *)
+  | Unpark  (** instant: woken by a region opening or finishing *)
   | Join_help  (** running another region's items while joining *)
 
 val all_states : state list
@@ -92,9 +93,9 @@ val state_count : worker_report -> state -> int
 type overhead = { ov_label : string; ov_seconds : float; ov_events : int }
 
 val overheads : worker_report list -> overhead list
-(** The three steal-scheduler overhead candidates — failed steals,
-    parking churn, injector contention — summed across workers,
-    sorted by descending time. *)
+(** The three pool overhead candidates — failed steals (region
+    lookups that found nothing), parking churn, region publishing —
+    summed across workers, sorted by descending time. *)
 
 val dominant_overhead : worker_report list -> overhead option
 (** Head of {!overheads} when it has nonzero time. *)

@@ -380,12 +380,51 @@ let with_env key value f =
   Fun.protect f ~finally:(fun () ->
       Unix.putenv key (match previous with Some v -> v | None -> ""))
 
+(* The DPNextFailure decision rule with both fast paths off: every
+   replan summarizes the ages from scratch with [Age_summary.build] and
+   scans every candidate chunk ([~prune:false]).  The production policy
+   must take the same decisions, bit for bit. *)
+let reference_dp_next_failure ~max_states job =
+  let module Age_summary = Ckpt_core.Age_summary in
+  let module Dp_next_failure = Ckpt_core.Dp_next_failure in
+  let context = Job.dp_context job ~platform_view:false in
+  let instantiate () =
+    let pending = ref [] in
+    let budget = ref 0. in
+    let replan (obs : Policy.observation) =
+      let ages =
+        Age_summary.build ~nexact:Age_summary.default_nexact
+          ~napprox:Age_summary.default_napprox context.Ckpt_core.Dp_context.dist
+          ~processors:(Job.failure_units job) ~iter_ages:obs.Policy.iter_ages
+      in
+      let plan =
+        Dp_next_failure.solve ~max_states ~prune:false ~context ~ages
+          ~work:obs.Policy.remaining ()
+      in
+      pending := plan.Dp_next_failure.chunks;
+      budget := plan.Dp_next_failure.valid_work
+    in
+    fun (obs : Policy.observation) ->
+      if obs.Policy.remaining <= 0. then None
+      else begin
+        (match obs.Policy.phase with
+        | Policy.Start | Policy.After_recovery -> replan obs
+        | Policy.After_checkpoint -> (
+            match !pending with _ :: _ when !budget > 0. -> () | _ -> replan obs));
+        match !pending with
+        | [] -> Some obs.Policy.remaining
+        | chunk :: rest ->
+            pending := rest;
+            budget := !budget -. chunk;
+            Some (Policy.clamp_chunk ~remaining:obs.Policy.remaining chunk)
+      end
+  in
+  { Policy.name = "DPNextFailure"; instantiate; decide = None }
+
 let test_engine_fast_paths_bit_identical () =
   (* The DPNextFailure fast paths — incremental age summaries and the
      monotone chunk-search prune — must not change a single bit of any
-     execution.  The escape-hatch knobs are read at policy
-     construction, so each arm builds its policy inside the env
-     scope. *)
+     execution. *)
   let job =
     Job.create
       ~dist:(Weibull.of_mtbf ~mtbf:1e6 ~shape:0.7)
@@ -395,48 +434,44 @@ let test_engine_fast_paths_bit_identical () =
       ~work_time:5e5
   in
   let scenario = Scenario.create ~horizon:1e7 ~start_time:0. job in
-  let run () =
-    let policy = Ckpt_policies.Dp_policies.dp_next_failure ~max_states:60 job in
+  let run policy =
     List.map
       (fun replicate ->
         Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate) ~policy ())
       [ 0; 1; 2 ]
   in
-  let fast = run () in
-  let slow =
-    with_env "CKPT_AGE_INCREMENTAL" "0" (fun () -> with_env "CKPT_DPNF_PRUNE" "0" run)
-  in
+  let fast = run (Ckpt_policies.Dp_policies.dp_next_failure ~max_states:60 job) in
+  let slow = run (reference_dp_next_failure ~max_states:60 job) in
   check Alcotest.bool "fast paths change nothing" true (fast = slow)
 
 let test_evaluation_steal_scheduler_deterministic () =
-  (* Regression for the work-stealing scheduler: the full evaluation
-     determinism suite under CKPT_SCHED=steal must produce the exact
-     sequential-reference table at every domain count — including a DP
-     policy, whose solved tables are cached per (persistent) domain. *)
+  (* Regression for the domain pool: the full evaluation determinism
+     suite must produce the exact inline ([CKPT_DOMAINS=1]) table at
+     every domain count — including a DP policy, whose solved tables
+     are cached per (persistent) domain. *)
   let policies () =
     [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000.;
       Ckpt_policies.Dp_policies.dp_makespan ~cap_states:40 (eval_scenario ()).Scenario.job ]
   in
-  let table_with ~sched ~domains =
+  let table_with ~domains =
     (* A fresh scenario per run: no trace-set cache sharing between
-       the reference and scheduled runs. *)
-    with_env "CKPT_SCHED" sched (fun () ->
-        with_domains domains (fun () ->
-            Evaluation.degradation_table ~scenario:(eval_scenario ()) ~policies:(policies ())
-              ~replicates:6))
+       the reference and pooled runs. *)
+    with_domains domains (fun () ->
+        Evaluation.degradation_table ~scenario:(eval_scenario ()) ~policies:(policies ())
+          ~replicates:6)
   in
-  let reference = table_with ~sched:"seq" ~domains:1 in
+  let reference = table_with ~domains:1 in
   List.iter
     (fun domains ->
-      let stolen = table_with ~sched:"steal" ~domains in
+      let pooled = table_with ~domains in
       check Alcotest.bool
-        (Printf.sprintf "steal CKPT_DOMAINS=%d == seq" domains)
-        true (stolen = reference);
+        (Printf.sprintf "CKPT_DOMAINS=%d == CKPT_DOMAINS=1" domains)
+        true (pooled = reference);
       check Alcotest.string
         (Printf.sprintf "identical rendering at CKPT_DOMAINS=%d" domains)
         (Format.asprintf "%a" Evaluation.pp_table reference)
-        (Format.asprintf "%a" Evaluation.pp_table stolen))
-    [ 1; 2; 8 ]
+        (Format.asprintf "%a" Evaluation.pp_table pooled))
+    [ 2; 8 ]
 
 let contains_substring haystack needle =
   let h = String.length haystack and n = String.length needle in
@@ -906,7 +941,7 @@ let test_profile_accounting_identity () =
 let test_profile_stripe_sched_bit_identity () =
   (* The tentpole determinism guarantee: the distributional profiles —
      exact sums and log histograms — reduce to the same bits at every
-     stripe width and under both schedulers.  (The scalar Welford
+     stripe width and domain count.  (The scalar Welford
      columns are only stripe-invariant within one width — the Chan
      merge tree shape matters to their last bits, which is exactly why
      CKPT_SWEEP_STRIPE participates in the sweep-store key; the
@@ -914,9 +949,9 @@ let test_profile_stripe_sched_bit_identity () =
   let policies () =
     [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000. ]
   in
-  let profiles_with ~stripe ~sched =
+  let profiles_with ~stripe ~domains =
     with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
-        with_env "CKPT_SCHED" sched (fun () ->
+        with_domains domains (fun () ->
             let t =
               Evaluation.degradation_table ~scenario:(eval_scenario ())
                 ~policies:(policies ()) ~replicates:9
@@ -925,19 +960,19 @@ let test_profile_stripe_sched_bit_identity () =
               (fun (r : Evaluation.policy_result) -> r.Evaluation.profile)
               (t.Evaluation.lower_bound :: t.Evaluation.results)))
   in
-  let reference = profiles_with ~stripe:16 ~sched:"seq" in
+  let reference = profiles_with ~stripe:16 ~domains:1 in
   check Alcotest.int "profiles present" 3 (List.length (List.filter_map Fun.id reference));
   List.iter
     (fun stripe ->
       List.iter
-        (fun sched ->
-          let p = profiles_with ~stripe ~sched in
+        (fun domains ->
+          let p = profiles_with ~stripe ~domains in
           check Alcotest.bool
-            (Printf.sprintf "stripe=%d sched=%s profiles == reference, bit for bit" stripe
-               sched)
+            (Printf.sprintf "stripe=%d domains=%d profiles == reference, bit for bit" stripe
+               domains)
             true
             (compare reference p = 0))
-        [ "seq"; "steal" ])
+        [ 1; 2 ])
     [ 1; 4; 16 ]
 
 (* -- stripe engine vs. the scalar reference ----------------------------------- *)
@@ -1010,29 +1045,29 @@ let test_batch_dp_policy_bit_identical () =
 
 let test_engine_matrix_bit_identity () =
   (* Golden matrix: the full degradation table (Welford columns
-     included) under every CKPT_SCHED backend equals the sequential
-     reference of the same stripe width. *)
+     included) at every pooled domain count equals the inline
+     ([CKPT_DOMAINS=1]) reference of the same stripe width. *)
   let policies () =
     [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000.;
       Ckpt_policies.Dp_policies.dp_makespan ~cap_states:40 (eval_scenario ()).Scenario.job ]
   in
-  let table_with ~sched ~stripe =
-    with_env "CKPT_SCHED" sched (fun () ->
+  let table_with ~domains ~stripe =
+    with_domains domains (fun () ->
         with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
             Evaluation.degradation_table ~scenario:(eval_scenario ())
               ~policies:(policies ()) ~replicates:9))
   in
   List.iter
     (fun stripe ->
-      let reference = table_with ~sched:"seq" ~stripe in
+      let reference = table_with ~domains:1 ~stripe in
       List.iter
-        (fun sched ->
-          let t = table_with ~sched ~stripe in
+        (fun domains ->
+          let t = table_with ~domains ~stripe in
           check Alcotest.bool
-            (Printf.sprintf "sched=%s stripe=%d == seq reference" sched stripe)
+            (Printf.sprintf "domains=%d stripe=%d == inline reference" domains stripe)
             true
             (compare reference t = 0))
-        [ "steal"; "flat" ])
+        [ 2; 4 ])
     [ 1; 4; 16 ]
 
 (* The committed digests were recorded from the scalar engine before
@@ -1222,7 +1257,7 @@ let () =
           Alcotest.test_case "average makespan" `Quick test_average_makespan;
           Alcotest.test_case "parallel = serial (CKPT_DOMAINS)" `Quick
             test_evaluation_parallel_deterministic;
-          Alcotest.test_case "steal scheduler = seq (CKPT_SCHED matrix)" `Quick
+          Alcotest.test_case "steal scheduler = seq (CKPT_DOMAINS matrix)" `Quick
             test_evaluation_steal_scheduler_deterministic;
           Alcotest.test_case "no nan in printed tables" `Quick test_evaluation_no_nan_printed;
           Alcotest.test_case "trace cache reuse" `Quick test_trace_cache_reuses_sets;

@@ -556,7 +556,7 @@ let bench_artifact ~rate ~elapsed =
 
 let bench_sidecar ~domains =
   Printf.sprintf
-    {|{"schema": "ckpt-bench-meta/1", "domains": %d, "env": {"CKPT_SCHED": "steal"}, "parameters": {"physical_cores": "4"}}|}
+    {|{"schema": "ckpt-bench-meta/1", "domains": %d, "parameters": {"physical_cores": "4"}}|}
     domains
 
 let test_bench_diff_self () =

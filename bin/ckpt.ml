@@ -14,8 +14,7 @@
      fit-log      MLE-fit lifetime models to an availability log
      experiment   regenerate a paper table/figure by id
      sweep        run experiments against a resumable checkpoint store
-     sched-report per-worker utilization breakdown of the domain pool
-     bench        diff/check BENCH_*.json artifacts (regression tooling) *)
+     sched-report per-worker utilization breakdown of the domain pool *)
 
 open Cmdliner
 module D = Ckpt_distributions
@@ -595,96 +594,6 @@ let sched_report_cmd =
           a per-worker busy/steal/idle utilization breakdown naming the dominant overhead.")
     term
 
-(* -- bench diff / bench check ------------------------------------------------ *)
-
-let bench_diff_cmd =
-  let old_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD.json") in
-  let new_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW.json") in
-  let threshold_arg =
-    let doc =
-      "Override every per-metric threshold (relative percent for rates/times, percentage \
-       points for *_percent metrics)."
-    in
-    Arg.(value & opt (some float) None & info [ "threshold" ] ~docv:"PCT" ~doc)
-  in
-  let run old_path new_path threshold =
-    match T.Bench_compare.diff ?threshold ~old_path ~new_path () with
-    | Error msg ->
-        Printf.eprintf "ckpt bench diff: %s\n" msg;
-        exit T.Bench_compare.exit_error
-    | Ok v ->
-        (* Machine-readable verdict on stdout, human summary on stderr. *)
-        print_endline (T.Json.to_string ~pretty:true (T.Bench_compare.verdict_json v));
-        List.iter
-          (fun m -> Printf.eprintf "incomparable: %s\n" m)
-          v.T.Bench_compare.v_config_mismatches;
-        List.iter
-          (fun c ->
-            if c.T.Bench_compare.c_regressed || c.T.Bench_compare.c_improved then
-              Printf.eprintf "%s %s: %g -> %g (%+.1f%s, threshold %g)\n"
-                (if c.T.Bench_compare.c_regressed then "REGRESSION" else "improvement")
-                c.T.Bench_compare.c_metric c.T.Bench_compare.c_old c.T.Bench_compare.c_new
-                c.T.Bench_compare.c_delta
-                (match c.T.Bench_compare.c_direction with
-                | T.Bench_compare.Lower_better_pp -> "pp"
-                | _ -> "%")
-                c.T.Bench_compare.c_threshold)
-          v.T.Bench_compare.v_comparisons;
-        exit (T.Bench_compare.exit_code v)
-  in
-  let term = Term.(const run $ old_arg $ new_arg $ threshold_arg) in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two BENCH_*.json artifacts provenance-aware: per-metric thresholds, \
-          machine-readable verdict on stdout, nonzero exit on regression, distinct exit \
-          code (3) when the sidecars disagree on domain or core count.")
-    term
-
-let bench_check_cmd =
-  let dir_arg =
-    Arg.(value & pos 0 string "." & info [] ~docv:"DIR" ~doc:"Directory holding BENCH_*.json.")
-  in
-  let run dir =
-    let results = T.Bench_compare.check ~dir in
-    if results = [] then begin
-      Printf.eprintf "ckpt bench check: no BENCH_*.json under %s\n" dir;
-      exit T.Bench_compare.exit_error
-    end;
-    let failed = ref false in
-    List.iter
-      (fun (path, problems) ->
-        match problems with
-        | [] -> (
-            (* A clean artifact must also survive self-comparison. *)
-            match T.Bench_compare.diff ~old_path:path ~new_path:path () with
-            | Ok v when T.Bench_compare.exit_code v = 0 -> Printf.printf "ok  %s\n" path
-            | Ok v ->
-                failed := true;
-                Printf.printf "BAD %s: self-diff exit %d\n" path (T.Bench_compare.exit_code v)
-            | Error msg ->
-                failed := true;
-                Printf.printf "BAD %s: self-diff failed: %s\n" path msg)
-        | problems ->
-            failed := true;
-            List.iter (fun p -> Printf.printf "BAD %s\n" p) problems)
-      results;
-    exit (if !failed then T.Bench_compare.exit_regression else 0)
-  in
-  let term = Term.(const run $ dir_arg) in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Validate every BENCH_*.json in a directory: parseable, named bench, provenance \
-          sidecar present, and self-comparison clean.")
-    term
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench"
-       ~doc:"Bench-trajectory tooling: diff two artifacts, or sanity-check a directory.")
-    [ bench_diff_cmd; bench_check_cmd ]
-
 (* -- experiment ------------------------------------------------------------ *)
 
 let experiment_cmd =
@@ -871,5 +780,5 @@ let () =
           [
             period_cmd; simulate_cmd; schedule_cmd; mtbf_cmd; waste_cmd; trace_cmd;
             explain_cmd; stats_cmd; trace_stats_cmd; gen_log_cmd; fit_log_cmd; experiment_cmd;
-            sweep_cmd; sched_report_cmd; bench_cmd;
+            sweep_cmd; sched_report_cmd;
           ]))

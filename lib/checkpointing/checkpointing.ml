@@ -105,7 +105,6 @@ module Telemetry = struct
   module Flight_recorder = Ckpt_telemetry.Flight_recorder
   module Provenance = Ckpt_telemetry.Provenance
   module Json = Ckpt_telemetry.Json
-  module Bench_compare = Ckpt_telemetry.Bench_compare
 end
 
 (** Discrete-event simulation and evaluation. *)

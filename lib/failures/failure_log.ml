@@ -21,7 +21,7 @@ let parse_string text =
         match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
         | [ node; duration ] -> begin
             match float_of_string_opt duration with
-            | Some d when d > 0. ->
+            | Some d when d > 0. && Float.is_finite d ->
                 Hashtbl.replace node_ids node ();
                 intervals := d :: !intervals
             | Some _ | None ->

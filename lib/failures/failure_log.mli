@@ -24,7 +24,8 @@ val of_intervals : ?nodes:int -> float array -> t
 
 val parse_string : string -> t
 (** Parse the textual format above.
-    @raise Failure on malformed records. *)
+    @raise Failure on malformed records, including durations that are
+    not positive finite numbers. *)
 
 val load : string -> t
 (** [load path] reads and parses a log file. *)

@@ -19,11 +19,12 @@ let generate rng dist ~horizon =
   { failure_times = Array.of_list (List.rev !acc); horizon }
 
 let of_times ~horizon times =
-  if horizon <= 0. then invalid_arg "Trace.of_times: horizon must be positive";
+  if not (horizon > 0.) then invalid_arg "Trace.of_times: horizon must be positive";
   let times = Array.copy times in
   let n = Array.length times in
   for i = 0 to n - 1 do
-    if times.(i) < 0. || times.(i) >= horizon then
+    (* Written positively so a NaN date fails it too. *)
+    if not (times.(i) >= 0. && times.(i) < horizon) then
       invalid_arg "Trace.of_times: date outside [0, horizon)";
     if i > 0 && times.(i) <= times.(i - 1) then
       invalid_arg "Trace.of_times: dates must be strictly increasing"

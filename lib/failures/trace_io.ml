@@ -28,6 +28,7 @@ let of_string text =
       failwith "Trace_io.of_string: bad header"
   in
   if units <= 0 then failwith "Trace_io.of_string: bad unit count";
+  if not (horizon > 0. && Float.is_finite horizon) then failwith "Trace_io.of_string: bad horizon";
   let per_unit = Array.make units [] in
   List.iteri
     (fun lineno line ->
@@ -47,10 +48,11 @@ let of_string text =
           end
       end)
     body;
-  Trace_set.of_traces
-    (Array.map
-       (fun dates -> Trace.of_times ~horizon (Array.of_list (List.rev dates)))
-       per_unit)
+  let trace dates =
+    try Trace.of_times ~horizon (Array.of_list (List.rev dates))
+    with Invalid_argument msg -> failwith ("Trace_io.of_string: " ^ msg)
+  in
+  Trace_set.of_traces (Array.map trace per_unit)
 
 let load path =
   let ic = open_in path in

@@ -20,6 +20,8 @@ val to_string : Trace_set.t -> string
 
 val load : string -> Trace_set.t
 (** [load path] parses a file written by {!save}.
-    @raise Failure on malformed input. *)
+    @raise Failure on malformed input: a bad header, a horizon that is
+    not a positive finite number, a date that is not finite or lies
+    outside [\[0, horizon)], or a unit's dates out of order. *)
 
 val of_string : string -> Trace_set.t

@@ -1,13 +1,12 @@
 (* A minimal JSON reader/writer.
 
    The container has no JSON package, and the repository's needs are
-   small: parse the flat-ish BENCH_*.json artifacts and their
-   provenance sidecars, validate Chrome trace_event exports in tests,
-   and render machine-readable verdicts.  This is a complete JSON
-   parser (objects, arrays, strings with escapes, numbers, literals)
-   with one representational simplification: all numbers are floats,
-   which is exactly how every producer in this repository writes
-   them. *)
+   small: read per-worker stats files, validate Chrome trace_event
+   exports in tests, and render metrics snapshots and benchmark
+   results.  This is a complete JSON parser (objects, arrays, strings
+   with escapes, numbers, literals) with one representational
+   simplification: all numbers are floats, which is exactly how every
+   producer in this repository writes them. *)
 
 type t =
   | Null

@@ -1,8 +1,8 @@
 (** Minimal self-contained JSON reader/writer.
 
-    Used by the bench-trajectory tooling ([Bench_compare]) to parse
-    [BENCH_*.json] artifacts and their provenance sidecars, by the
-    metrics sampler to append JSONL time-series, and by tests to
+    Used by the metrics sampler to append JSONL time-series, by the
+    sweep workers to read each other's [worker-NN.stats.json], by the
+    benchmark driver to write its result files, and by tests to
     validate Chrome trace_event exports.  Numbers are represented as
     floats — every JSON producer in this repository emits numbers
     that fit. *)

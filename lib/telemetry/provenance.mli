@@ -1,5 +1,6 @@
 (** Provenance manifests: the context needed to regenerate any
-    artifact written to [results/] or by the bench harness.
+    artifact this repository writes (tables under [results/], sweep
+    stores, [ckpt trace] and [ckpt explain] outputs).
 
     A manifest records the git revision ([git describe], "unknown"
     outside a work tree), the exact command line, the OCaml version,

@@ -10,20 +10,7 @@
      events are instants ("i").  Timestamps are simulated seconds
      exported as microseconds (the trace_event unit). *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Json.escape
 
 (* JSON numbers: finite floats only ("%.17g" round-trips doubles but
    is noisy; %g at 12 significant digits is exact at the microsecond

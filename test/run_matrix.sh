@@ -1,11 +1,28 @@
 #!/usr/bin/env bash
-# Sweep smoke tests: kill-and-resume of a serial sweep, then a
-# 2-worker sweep with one worker SIGKILLed.  Both must reproduce the
-# uninterrupted run's CSVs byte for byte.
+# Sweep smoke tests: kill-and-resume of a serial sweep, a 2-worker
+# sweep with one worker SIGKILLed, and an uninterrupted 4-worker sweep.
+# Each must reproduce the uninterrupted serial run's CSVs byte for byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
+
+# same_csvs LABEL DIR: DIR must hold exactly the serial run's CSVs, byte
+# for byte.  Only CSVs are compared: sidecars record timestamps and the
+# exact command line, which legitimately differ between runs.
+same_csvs() {
+  local label=$1 dir=$2 ref_csv
+  if [ "$(cd "$smoke/ref" && ls -- *.csv)" != "$(cd "$dir" && ls -- *.csv)" ]; then
+    echo "FAIL: $label CSV set differs from the serial run" >&2
+    status=1
+  fi
+  for ref_csv in "$smoke"/ref/*.csv; do
+    if ! cmp -s "$ref_csv" "$dir/$(basename "$ref_csv")"; then
+      echo "FAIL: $label $(basename "$ref_csv") differs from the serial run" >&2
+      status=1
+    fi
+  done
+}
 
 # -- kill-and-resume smoke test ----------------------------------------------
 # Run the small sweep-smoke grid against a checkpoint store, SIGKILL it
@@ -35,15 +52,7 @@ echo "-- resumed run"
 CKPT_RESULTS_DIR="$smoke/out" \
   "$ckpt" sweep --resume "$smoke/out_store" sweep-smoke > "$smoke/resumed.log"
 
-# Compare only the CSV artifacts: sidecars record timestamps and the
-# exact command line, which legitimately differ between runs.
-for ref_csv in "$smoke"/ref/*.csv; do
-  out_csv="$smoke/out/$(basename "$ref_csv")"
-  if ! cmp -s "$ref_csv" "$out_csv"; then
-    echo "FAIL: resumed $(basename "$ref_csv") differs from the uninterrupted run" >&2
-    status=1
-  fi
-done
+same_csvs resumed "$smoke/out"
 
 echo "-- all-skip run"
 CKPT_RESULTS_DIR="$smoke/out" \
@@ -55,9 +64,10 @@ if ! grep -q ", 0 computed" "$smoke/skip.log"; then
 fi
 
 # -- multi-process worker smoke ------------------------------------------------
-# A 2-worker sweep must produce byte-identical CSVs; a SIGKILLed worker
-# must neither wedge the sweep (its claims are reaped) nor corrupt the
-# store (partial writes fail the checksum and are recomputed).
+# Worker sweeps must produce byte-identical CSVs at every worker count; a
+# SIGKILLed worker must neither wedge the sweep (its claims are reaped)
+# nor corrupt the store (partial writes fail the checksum and are
+# recomputed).
 echo "== sweep worker-mode smoke =="
 
 echo "-- 2-worker run, one worker SIGKILLed mid-sweep"
@@ -84,16 +94,15 @@ if [ "$leftover" -ne 0 ]; then
   status=1
 fi
 
-for ref_csv in "$smoke"/ref/*.csv; do
-  w2_csv="$smoke/w2/$(basename "$ref_csv")"
-  if ! cmp -s "$ref_csv" "$w2_csv"; then
-    echo "FAIL: 2-worker $(basename "$ref_csv") differs from the serial run" >&2
-    status=1
-  fi
-done
+same_csvs 2-worker "$smoke/w2"
+
+echo "-- uninterrupted 4-worker run"
+CKPT_RESULTS_DIR="$smoke/w4" \
+  "$ckpt" sweep --resume "$smoke/w4_store" --workers 4 sweep-smoke > "$smoke/w4.log"
+same_csvs 4-worker "$smoke/w4"
 
 if [ "$status" -eq 0 ]; then
   echo "sweep smoke: resumed tables byte-identical; completed units skipped"
-  echo "worker smoke: 2-worker sweep survived SIGKILL and matches serial bytes"
+  echo "worker smoke: 2-worker sweep survived SIGKILL; 2- and 4-worker sweeps match serial bytes"
 fi
 exit "$status"

@@ -179,8 +179,12 @@ let test_failure_log_parse () =
   close ~tol:1e-9 "mean" ((100.5 +. 300. +. 50.) /. 3.) (Failure_log.mean_interval log)
 
 let test_failure_log_parse_errors () =
-  Alcotest.check_raises "bad duration" (Failure "Failure_log.parse_string: bad duration at line 1")
-    (fun () -> ignore (Failure_log.parse_string "n1 abc"));
+  List.iter
+    (fun line ->
+      Alcotest.check_raises ("bad duration " ^ line)
+        (Failure "Failure_log.parse_string: bad duration at line 1")
+        (fun () -> ignore (Failure_log.parse_string line)))
+    [ "n1 abc"; "n1 inf"; "n1 infinity"; "n1 nan" ];
   Alcotest.check_raises "bad record" (Failure "Failure_log.parse_string: bad record at line 1")
     (fun () -> ignore (Failure_log.parse_string "onlyonefield"))
 
@@ -263,6 +267,26 @@ let test_trace_io_file_round_trip () =
   Sys.remove path;
   check Alcotest.int "failures preserved" (Trace_set.total_failures ts)
     (Trace_set.total_failures ts')
+
+let test_trace_io_rejects_bad_values () =
+  let header h = Printf.sprintf "# ckpt-traces v1 units=2 horizon=%s\n" h in
+  List.iter
+    (fun h ->
+      Alcotest.check_raises ("horizon " ^ h) (Failure "Trace_io.of_string: bad horizon")
+        (fun () -> ignore (Trace_io.of_string (header h ^ "0 10\n"))))
+    [ "-5"; "0"; "1e400" ];
+  List.iter
+    (fun date ->
+      Alcotest.check_raises ("date " ^ date)
+        (Failure "Trace_io.of_string: Trace.of_times: date outside [0, horizon)") (fun () ->
+          ignore (Trace_io.of_string (header "100" ^ "1 5\n0 " ^ date ^ "\n"))))
+    [ "nan"; "-nan"; "inf"; "-inf"; "1e400"; "100"; "-1" ];
+  Alcotest.check_raises "unsorted dates"
+    (Failure "Trace_io.of_string: Trace.of_times: dates must be strictly increasing")
+    (fun () -> ignore (Trace_io.of_string (header "100" ^ "0 50\n0 10\n")));
+  Alcotest.check_raises "NaN date in of_times"
+    (Invalid_argument "Trace.of_times: date outside [0, horizon)") (fun () ->
+      ignore (Trace.of_times ~horizon:100. [| Float.nan |]))
 
 let test_trace_io_errors () =
   Alcotest.check_raises "bad header" (Failure "Trace_io.of_string: bad header") (fun () ->
@@ -430,6 +454,7 @@ let () =
         [
           Alcotest.test_case "string round trip" `Quick test_trace_io_round_trip;
           Alcotest.test_case "file round trip" `Quick test_trace_io_file_round_trip;
+          Alcotest.test_case "rejects bad horizon and dates" `Quick test_trace_io_rejects_bad_values;
           Alcotest.test_case "errors" `Quick test_trace_io_errors;
         ] );
       ( "trace_stats",

@@ -6,14 +6,7 @@ type entry = {
   run : Config.t -> unit;
 }
 
-(* Each experiment owns the stage timers while it runs: without the
-   scope, back-to-back studies in one `experiments` process would
-   accumulate (and double-report) each other's stages. *)
-let scoped e =
-  { e with run = (fun config -> Ckpt_simulator.Instrument.scoped ~label:e.id (fun () -> e.run config)) }
-
 let all () =
-  List.map scoped
   [
     {
       id = "fig1";

@@ -449,34 +449,6 @@ let degradation_table ?store ?(params = []) ~experiment ~scenario ~policies ~rep
       in
       Evaluation.table_of_partials (Array.to_list partials)
 
-let floats_format = "ckpt-floats/1"
-
-let encode_floats arr =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "%s %d\n" floats_format (Array.length arr));
-  Array.iter (fun x -> Buffer.add_string buf (hex x ^ "\n")) arr;
-  Buffer.contents buf
-
-let decode_floats payload =
-  match String.split_on_char '\n' payload with
-  | hd :: rest when String.starts_with ~prefix:(floats_format ^ " ") hd -> (
-      let n =
-        int_of_string_opt
-          (String.sub hd (String.length floats_format + 1)
-             (String.length hd - String.length floats_format - 1))
-      in
-      match n with
-      | None -> None
-      | Some n ->
-          let rest = List.filter (fun l -> String.trim l <> "") rest in
-          if List.length rest <> n then None
-          else begin
-            let vals = List.map float_of_string_opt rest in
-            if List.exists Option.is_none vals then None
-            else Some (Array.of_list (List.map Option.get vals))
-          end)
-  | _ -> None
-
 let vectors_format = "ckpt-vectors/1"
 
 let encode_vectors rows =
@@ -561,31 +533,5 @@ let vectors ?store ?(params = []) ~experiment ~scenario ~replicates ~width ~f ()
              with
             | Some rows -> rows
             | None -> Array.init len (fun _ -> Array.make width 0.)))
-  in
-  Array.concat (Array.to_list stripe_arrays)
-
-let floats ?store ?(params = []) ~experiment ~scenario ~replicates ~f () =
-  if replicates <= 0 then invalid_arg "Sweep_store.floats: replicates must be positive";
-  let sz = Evaluation.stripe_size () in
-  let stripe_arrays =
-    Domain_pool.parallel_init (Evaluation.stripe_count ~replicates) (fun stripe ->
-        let first = stripe * sz in
-        let len = min sz (replicates - first) in
-        let compute () = Domain_pool.parallel_init len (fun i -> f (first + i)) in
-        match store with
-        | None -> compute ()
-        | Some store ->
-            let fields =
-              fingerprint ~kind:"floats" ~experiment ~scenario ~policy_names:[]
-                ~replicates ~params
-            in
-            let digest = digest_of fields in
-            let path = unit_path store ~experiment ~digest ~stripe in
-            (match
-               load_or_compute_opt ~path ~digest ~stripe ~fields ~decode:decode_floats
-                 ~encode:encode_floats compute
-             with
-            | Some arr -> arr
-            | None -> Array.make len 0.))
   in
   Array.concat (Array.to_list stripe_arrays)

@@ -140,21 +140,6 @@ val degradation_table :
     [params] are extra key/value pairs folded into the unit key and
     recorded in each unit's provenance sidecar. *)
 
-val floats :
-  ?store:t ->
-  ?params:(string * string) list ->
-  experiment:string ->
-  scenario:Ckpt_simulator.Scenario.t ->
-  replicates:int ->
-  f:(int -> float) ->
-  unit ->
-  float array
-(** [Array.init replicates f] evaluated stripe-parallel and, with a
-    [store], checkpointed per stripe — for studies whose unit of work
-    is a per-replicate scalar rather than a policy table.  [f] must be
-    a pure function of the replicate index (plus the scenario, which
-    keys the store). *)
-
 val vectors :
   ?store:t ->
   ?params:(string * string) list ->
@@ -165,11 +150,14 @@ val vectors :
   f:(int -> float array) ->
   unit ->
   float array array
-(** Like {!floats} but each replicate yields a fixed-width row of
-    floats (e.g. a waste decomposition, {!Spares}); [width] is folded
-    into the unit key and every row — computed or loaded — is checked
-    against it.  Rows round-trip the store bit-exactly (hex floats;
-    NaN/inf cells included, so a row of NaNs can mark a failed
-    replicate).
+(** [Array.init replicates f] evaluated stripe-parallel and, with a
+    [store], checkpointed per stripe — for studies whose unit of work
+    is a per-replicate row of floats (e.g. a waste decomposition,
+    {!Spares}) rather than a policy table.  [f] must be a pure
+    function of the replicate index (plus the scenario, which keys the
+    store).  [width] is folded into the unit key and every row —
+    computed or loaded — is checked against it.  Rows round-trip the
+    store bit-exactly (hex floats; NaN/inf cells included, so a row of
+    NaNs can mark a failed replicate).
     @raise Invalid_argument if [replicates <= 0], [width <= 0], or [f]
     returns a row of a different width. *)

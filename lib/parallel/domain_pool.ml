@@ -32,14 +32,6 @@ let recommended_domains () =
           fallback
     end
 
-(* True while the current domain is executing pool work.  The
-   evaluation harness reads it to tell a top-level table (which owns
-   the process-global timers and progress meter) from one nested
-   inside a study's own fan-out. *)
-let in_region_key = Domain.DLS.new_key (fun () -> false)
-
-let in_parallel_region () = Domain.DLS.get in_region_key
-
 (* -- the pool ------------------------------------------------------------- *)
 
 (* Domains are spawned once, kept parked on a condition variable when
@@ -246,15 +238,12 @@ let pool_parallel_init ~domains n f =
   let results = Array.make n None in
   let error = Atomic.make None in
   let run_item i =
-    let was_in_region = Domain.DLS.get in_region_key in
-    Domain.DLS.set in_region_key true;
     Metrics.incr tasks_run;
-    (match f i with
+    match f i with
     | v -> results.(i) <- Some v
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        ignore (Atomic.compare_and_set error None (Some (e, bt))));
-    Domain.DLS.set in_region_key was_in_region
+        ignore (Atomic.compare_and_set error None (Some (e, bt)))
   in
   let r = { n; next = Atomic.make 0; completed = Atomic.make 0; error; run_item } in
   Metrics.incr regions_run;

@@ -40,11 +40,6 @@ val recommended_domains : unit -> int
     [-3], [abc]) warn once per value on stderr and fall back to the
     hardware default. *)
 
-val in_parallel_region : unit -> bool
-(** True while the calling domain is executing a [parallel_init] task.
-    Used by the evaluation harness to tell top-level tables (which own
-    the process-global timers/progress) from nested ones. *)
-
 val parallel_init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_init ~domains n f] is [Array.init n f] evaluated on
     the pool (default {!recommended_domains}; the pool is grown to

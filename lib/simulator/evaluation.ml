@@ -12,9 +12,21 @@ let trace_gen_seconds = Metrics.histogram "eval/trace_gen_seconds"
 let replicates_run = Metrics.counter "eval/replicates"
 let unusable_replicates = Metrics.counter "eval/unusable_replicates"
 
-(* Wall-clock spent inside [Engine.run_stripe] (one policy's pass over
-   a whole stripe). *)
-let stripe_engine_seconds = Metrics.timer "eval/stripe_engine_seconds"
+(* Per-stage wall-clock, one registry timer per stage: [stage/<policy>]
+   for a policy's pass over a stripe, [stage/LowerBound] for the
+   omniscient bound.  The handle is resolved after the measurement, so
+   the registry lock stays outside the measured region. *)
+let stage name dt = Metrics.record (Metrics.timer ("stage/" ^ name)) dt
+
+(* [f ()], its wall-clock handed to [sink] when [metered]. *)
+let timed ~metered sink f =
+  if not metered then f ()
+  else begin
+    let t0 = Unix.gettimeofday () in
+    let v = f () in
+    sink (Unix.gettimeofday () -. t0);
+    v
+  end
 
 (* Simulated waste decomposition of every completed run, one histogram
    per component (seconds of simulated time); fills under
@@ -215,20 +227,10 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
         (Array.init len (fun i ->
              Tracer.create_buffer ~name:(Printf.sprintf "rep%d/%s" (first + i) name) ()))
   in
-  let observed hist f =
-    if not metered then f ()
-    else begin
-      let t0 = Unix.gettimeofday () in
-      let v = f () in
-      Metrics.observe hist (Unix.gettimeofday () -. t0);
-      v
-    end
-  in
   let traces =
-    Instrument.time "trace-generation" (fun () ->
-        Array.init len (fun i ->
-            observed trace_gen_seconds (fun () ->
-                Scenario.traces scenario ~replicate:(first + i))))
+    Array.init len (fun i ->
+        timed ~metered (Metrics.observe trace_gen_seconds) (fun () ->
+            Scenario.traces scenario ~replicate:(first + i)))
   in
   let initial_births =
     Array.map (fun tr -> Scenario.initial_lifetime_starts scenario tr) traces
@@ -239,15 +241,8 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
   let policy_runs =
     Array.map2
       (fun policy trace ->
-        Instrument.time policy.Policy.name (fun () ->
-            if not metered then
-              Engine.run_stripe ~initial_births ?trace ~scenario ~traces ~policy ()
-            else begin
-              let t0 = Unix.gettimeofday () in
-              let runs = Engine.run_stripe ~initial_births ?trace ~scenario ~traces ~policy () in
-              Metrics.record stripe_engine_seconds (Unix.gettimeofday () -. t0);
-              runs
-            end))
+        timed ~metered (stage policy.Policy.name) (fun () ->
+            Engine.run_stripe ~initial_births ?trace ~scenario ~traces ~policy ()))
       policies policy_buffers
   in
   let lb_buffers = buffers "LowerBound" in
@@ -273,7 +268,7 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
           policy_runs;
         let trace = Option.map (fun b -> b.(i)) lb_buffers in
         let lb =
-          Instrument.time "LowerBound" (fun () ->
+          timed ~metered (stage "LowerBound") (fun () ->
               Engine.lower_bound ?trace ~scenario ~traces:traces.(i) ())
         in
         Option.iter Tracer.register trace;
@@ -325,27 +320,27 @@ type partial = {
   p_replicates : int;
 }
 
-(* Merge the outcomes of replicates [first, first + len) in replicate
-   order — the canonical within-stripe reduction. *)
-let partial_of_outcomes ~policy_names outcomes ~first ~len =
+(* Merge one stripe's replicate outcomes in replicate order — the
+   canonical within-stripe reduction. *)
+let partial_of_outcomes ~policy_names outcomes =
   let accs = Array.map (fun _ -> fresh_accumulator ()) policy_names in
   let lb = fresh_accumulator () in
   let usable = ref 0 in
-  for i = first to first + len - 1 do
-    let o = outcomes.(i) in
-    if o.rep_usable then incr usable;
-    Array.iteri (fun j rep -> merge_into accs.(j) rep) o.rep_accs;
-    merge_into lb o.rep_lb
-  done;
-  { p_policies = policy_names; p_accs = accs; p_lb = lb; p_usable = !usable; p_replicates = len }
+  Array.iter
+    (fun o ->
+      if o.rep_usable then incr usable;
+      Array.iteri (fun j rep -> merge_into accs.(j) rep) o.rep_accs;
+      merge_into lb o.rep_lb)
+    outcomes;
+  { p_policies = policy_names; p_accs = accs; p_lb = lb; p_usable = !usable;
+    p_replicates = Array.length outcomes }
 
 (* A merge-neutral partial: zero replicates, fresh accumulators, the
    given roster.  Sweep workers substitute it for units another worker
    currently holds — worker-side reductions are discarded (only the
    parent's canonical pass renders output), so the placeholder merely
    keeps the roster checks in [table_of_partials] satisfied. *)
-let empty_partial ~policy_names =
-  partial_of_outcomes ~policy_names [||] ~first:0 ~len:0
+let empty_partial ~policy_names = partial_of_outcomes ~policy_names [||]
 
 let stripe_partial ~scenario ~policies ~replicates ~stripe =
   if replicates <= 0 then invalid_arg "Evaluation.stripe_partial: replicates must be positive";
@@ -354,7 +349,7 @@ let stripe_partial ~scenario ~policies ~replicates ~stripe =
   let policy_array = Array.of_list policies in
   let names = Array.map (fun p -> p.Policy.name) policy_array in
   let outcomes = run_replicate_stripe ~scenario ~policies:policy_array ~first ~len in
-  partial_of_outcomes ~policy_names:names outcomes ~first:0 ~len
+  partial_of_outcomes ~policy_names:names outcomes
 
 let table_of_partials partials =
   match partials with
@@ -504,62 +499,23 @@ let deserialize_partial contents =
 let degradation_table ~scenario ~policies ~replicates =
   if replicates <= 0 then invalid_arg "Evaluation.degradation_table: replicates must be positive";
   if policies = [] then invalid_arg "Evaluation.degradation_table: no policies";
-  (* Timers and progress are process-global; only a top-level table
-     (not one nested inside a study's own fan-out, where several
-     tables run concurrently) resets and reports them — and when a
-     study claimed the timers with [Instrument.scoped], the scope owns
-     reset and report, so even a top-level table defers to it. *)
-  let top_level = not (Domain_pool.in_parallel_region ()) in
-  let owns_timers = top_level && not (Instrument.in_scope ()) in
-  if owns_timers then Instrument.reset ();
   if Tracer.enabled () then Trace_export.ensure_at_exit ();
   (* Long tables are exactly what the periodic sampler exists for; the
      call is a no-op unless CKPT_METRICS_INTERVAL/CKPT_METRICS_OUT is
      set. *)
   Metrics_export.ensure_sampler ();
-  let policy_array = Array.of_list policies in
-  let progress =
-    if top_level then Some (Instrument.progress ~label:"degradation_table" ~total:replicates)
-    else None
-  in
   (* Fan the stripes out — on the domain pool this composes with a
      study's own configuration fan-out (idle domains claim stripes of
-     busy ones' nested regions) — then reduce serially in replicate
-     order: the merge sequence — hence the table — is bit-for-bit
-     independent of the domain count.  The engine
+     busy ones' nested regions) — and merge their partials in stripe
+     order: the same fixed merge tree the sweep store reassembles from
+     checkpointed stripes, so the table is bit-for-bit independent of
+     the domain count and of whether a stripe was stored.  The engine
      amortizes work across a stripe's replicates, so the unit of
-     parallel work is the whole stripe; flattening in stripe order
-     preserves replicate order. *)
-  let sz = stripe_size () in
-  let stripes =
-    Domain_pool.parallel_init (stripe_count ~replicates) (fun stripe ->
-        let first = stripe * sz in
-        let len = min sz (replicates - first) in
-        let os = run_replicate_stripe ~scenario ~policies:policy_array ~first ~len in
-        (match progress with
-        | Some p -> for _ = 1 to len do Instrument.step p done
-        | None -> ());
-        os)
-  in
-  let outcomes = Array.concat (Array.to_list stripes) in
-  (* Reduce through the same stripe structure the sweep store persists
-     (within-stripe in replicate order, then across stripes in stripe
-     order), so a table assembled from checkpointed stripe partials is
-     bit-identical to this one. *)
-  let names = Array.map (fun p -> p.Policy.name) policy_array in
-  let partials =
-    List.init (stripe_count ~replicates) (fun stripe ->
-        let first = stripe * sz in
-        partial_of_outcomes ~policy_names:names outcomes ~first
-          ~len:(min sz (replicates - first)))
-  in
-  let table = table_of_partials partials in
-  if owns_timers then begin
-    let hits, misses = Scenario.cache_stats scenario in
-    Instrument.info "trace cache: %d hits, %d misses" hits misses;
-    Instrument.report ~label:"degradation_table" ()
-  end;
-  table
+     parallel work is the whole stripe. *)
+  table_of_partials
+    (Array.to_list
+       (Domain_pool.parallel_init (stripe_count ~replicates) (fun stripe ->
+            stripe_partial ~scenario ~policies ~replicates ~stripe)))
 
 (* The Welford fold below is kept in the exact shape (and order) of
    the original [average_makespan], so the mean this returns is

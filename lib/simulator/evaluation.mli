@@ -10,13 +10,16 @@
     stripe runs through {!Engine.run_stripe} — one lockstep pass per
     policy over the whole stripe.  Stripes are evaluated in parallel
     over OCaml 5 domains ([CKPT_DOMAINS] controls the fan-out; nested
-    inside a study that already parallelizes, they run inline).  Each
+    inside a study's own fan-out, they share its pool).  Each
     replicate accumulates into its own state and the per-replicate
     accumulators are merged serially in replicate order
     ({!Ckpt_numerics.Summary.merge}), so the table is bit-for-bit
-    identical for every domain count.  Set [CKPT_VERBOSE=1] for
-    per-policy wall-clock and replicate progress reporting (see
-    {!Instrument}).
+    identical for every domain count.
+
+    Under [CKPT_METRICS=1] each policy's pass over a stripe is timed in
+    the registry timer [stage/<policy>], each lower-bound run in
+    [stage/LowerBound], and each replicate's trace generation in the
+    [eval/trace_gen_seconds] histogram.
 
     With tracing on ([CKPT_TRACE_OUT], {!Ckpt_telemetry.Tracer.enabled})
     every run also fills its own event buffer, named

@@ -126,6 +126,7 @@ let parse_string c =
             else add_utf8 buf u
         | _ -> error c "invalid escape");
         loop ()
+    | Some ch when Char.code ch < 0x20 -> error c "unescaped control character in string"
     | Some ch ->
         Buffer.add_char buf ch;
         advance c;
@@ -134,20 +135,31 @@ let parse_string c =
   loop ();
   Buffer.contents buf
 
+(* RFC 8259: -? (0 | [1-9][0-9]* ) (\.[0-9]+)? ([eE][+-]?[0-9]+)?.  The
+   grammar is checked here because [float_of_string] is laxer (it takes
+   ".5", "+1", "1.", "01", hex and underscores). *)
 let parse_number c =
   let start = c.pos in
-  let consume () =
-    match peek c with
-    | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-        advance c;
-        true
-    | _ -> false
+  let is_digit = function Some '0' .. '9' -> true | _ -> false in
+  let digits what =
+    if not (is_digit (peek c)) then error c "malformed number: expected a digit %s" what;
+    while is_digit (peek c) do
+      advance c
+    done
   in
-  while consume () do
-    ()
-  done;
-  let s = String.sub c.src start (c.pos - start) in
-  match float_of_string_opt s with Some v -> Num v | None -> error c "malformed number %S" s
+  if peek c = Some '-' then advance c;
+  if peek c = Some '0' then advance c else digits "in the integer part";
+  if peek c = Some '.' then begin
+    advance c;
+    digits "after the decimal point"
+  end;
+  (match peek c with
+  | Some ('e' | 'E') ->
+      advance c;
+      (match peek c with Some ('+' | '-') -> advance c | _ -> ());
+      digits "in the exponent"
+  | _ -> ());
+  Num (float_of_string (String.sub c.src start (c.pos - start)))
 
 let rec parse_value c =
   skip_ws c;

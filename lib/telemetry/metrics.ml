@@ -7,10 +7,7 @@
    programmatically), and every update entry point costs exactly one
    [Atomic.get] branch when disabled, so instrumenting a hot loop is
    free in normal runs.  Reads ({!snapshot}, {!find}) work regardless
-   of the enabled flag — timers recorded explicitly through {!record}
-   (the Instrument wall-clock path, which gates itself on
-   CKPT_VERBOSE) must stay reportable even when CKPT_METRICS is
-   unset. *)
+   of the enabled flag. *)
 
 let enabled_flag =
   Atomic.make
@@ -161,14 +158,13 @@ let incr c = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c 1)
 let add c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c n)
 let set g v = if Atomic.get enabled_flag then Atomic.set g v
 
-(* Timers are recorded unconditionally: the caller decides whether to
-   measure at all (Instrument gates on CKPT_VERBOSE || CKPT_METRICS),
-   and a recorded duration must be reportable either way. *)
 let record t dt =
-  Mutex.lock t.t_lock;
-  t.cell.seconds <- t.cell.seconds +. dt;
-  t.cell.calls <- t.cell.calls + 1;
-  Mutex.unlock t.t_lock
+  if Atomic.get enabled_flag then begin
+    Mutex.lock t.t_lock;
+    t.cell.seconds <- t.cell.seconds +. dt;
+    t.cell.calls <- t.cell.calls + 1;
+    Mutex.unlock t.t_lock
+  end
 
 let observe h v =
   if Atomic.get enabled_flag then begin

@@ -3,10 +3,10 @@
 
     Off by default; enable with [CKPT_METRICS=1] or {!set_enabled}.
     When disabled, every update entry point ({!incr}, {!add}, {!set},
-    {!observe}) is a single [Atomic.get] branch, so instrumented hot
-    paths cost nothing in normal runs.  {!record} (used by the
-    wall-clock Instrument layer, which applies its own gating) is the
-    one unconditional update.  All entry points are domain-safe.
+    {!record}, {!observe}) is a single [Atomic.get] branch, so
+    instrumented hot paths cost nothing in normal runs; a caller that
+    reads the clock only for {!record} can check {!enabled} first to
+    skip the reads too.  All entry points are domain-safe.
 
     Handles are registered by name on first use and shared thereafter;
     registering the same name with a different kind raises
@@ -34,8 +34,7 @@ val add : counter -> int -> unit
 val set : gauge -> float -> unit
 
 val record : timer -> float -> unit
-(** [record t dt] accumulates [dt] seconds and one call.  Not gated on
-    {!enabled}: callers measure (and pay for) the duration themselves. *)
+(** [record t dt] accumulates [dt] seconds and one call. *)
 
 val observe : histogram -> float -> unit
 (** Count [v] into its power-of-two bucket and the running moments. *)

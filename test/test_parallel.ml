@@ -98,31 +98,14 @@ let test_nested_composes () =
   List.iter
     (fun domains ->
       let label = Printf.sprintf "domains=%d" domains in
-      check Alcotest.bool
-        (label ^ ": not in a region at top level")
-        false
-        (Domain_pool.in_parallel_region ());
-      (* Flags are checked after the join: Alcotest's formatter is not
-         safe to call from several domains at once. *)
-      let flags = Array.make 4 false in
       let outer =
         Domain_pool.parallel_init ~domains 4 (fun i ->
-            flags.(i) <- Domain_pool.in_parallel_region ();
             let inner = Domain_pool.parallel_init ~domains 8 (fun j -> (10 * i) + j) in
             Array.fold_left ( + ) 0 inner)
       in
-      (* A pooled task sees the region flag; either way a nested call
-         produces Array.init's results. *)
-      check (Alcotest.array Alcotest.bool)
-        (label ^ ": tasks see the region flag")
-        (Array.make 4 (domains > 1))
-        flags;
+      (* A nested call produces Array.init's results. *)
       let expected = Array.init 4 (fun i -> (80 * i) + 28) in
-      check (Alcotest.array Alcotest.int) (label ^ ": nested sums") expected outer;
-      check Alcotest.bool
-        (label ^ ": region flag restored")
-        false
-        (Domain_pool.in_parallel_region ()))
+      check (Alcotest.array Alcotest.int) (label ^ ": nested sums") expected outer)
     [ 1; 4 ]
 
 let test_nested_region_fans_out () =

@@ -14,7 +14,6 @@ module Machine = Ckpt_platform.Machine
 module Overhead = Ckpt_platform.Overhead
 module Exponential = Ckpt_distributions.Exponential
 module Weibull = Ckpt_distributions.Weibull
-module Instrument = Ckpt_simulator.Instrument
 module Metrics = Ckpt_telemetry.Metrics
 module Tracer = Ckpt_telemetry.Tracer
 
@@ -1187,30 +1186,52 @@ let test_traced_table_bit_identical () =
           check Alcotest.int (name ^ " chunks") m.Engine.chunks t.Tracer.chunks)
         buffers)
 
-let test_instrument_scoped_resets () =
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ~prefix:"stage/" ())
-    (fun () ->
-      let calls () =
-        match Metrics.find "stage/scoping-test" with
-        | Some (Metrics.Timer { calls; _ }) -> calls
-        | _ -> 0
-      in
-      Instrument.scoped ~label:"first study" (fun () ->
-          check Alcotest.bool "in scope" true (Instrument.in_scope ());
-          Instrument.time "scoping-test" (fun () -> ());
-          Instrument.time "scoping-test" (fun () -> ());
-          (* A nested scope must not steal ownership of the timers. *)
-          Instrument.scoped ~label:"nested" (fun () ->
-              Instrument.time "scoping-test" (fun () -> ()));
-          check Alcotest.int "accumulates within one scope" 3 (calls ()));
-      check Alcotest.bool "out of scope" false (Instrument.in_scope ());
-      Instrument.scoped ~label:"second study" (fun () ->
-          Instrument.time "scoping-test" (fun () -> ());
-          check Alcotest.int "fresh timers per outermost scope" 1 (calls ())))
+(* Each layer of a stripe is timed once, in the registry: one
+   [stage/<policy>] record per policy per stripe, one [stage/LowerBound]
+   per usable replicate, one trace-generation observation per
+   replicate — and nothing at all while metrics are off. *)
+let test_evaluation_stage_timers () =
+  let scenario = eval_scenario () in
+  let job = scenario.Scenario.job in
+  let policies = [ Ckpt_policies.Young.policy job; Ckpt_policies.Daly.high job ] in
+  let stage_calls () =
+    List.filter_map
+      (fun (name, v) ->
+        match v with
+        | Metrics.Timer { calls; _ } when calls > 0 && String.starts_with ~prefix:"stage/" name ->
+            Some (name, calls)
+        | _ -> None)
+      (Metrics.snapshot ())
+  in
+  let reset () =
+    Metrics.reset ~prefix:"stage/" ();
+    Metrics.reset ~prefix:"eval/trace_gen_seconds" ()
+  in
+  with_env "CKPT_SWEEP_STRIPE" "4" (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Metrics.set_enabled false;
+          reset ())
+        (fun () ->
+          reset ();
+          Metrics.set_enabled true;
+          let table = Evaluation.degradation_table ~scenario ~policies ~replicates:8 in
+          check
+            Alcotest.(list (pair string int))
+            "one record per policy per stripe, one per usable lower bound"
+            (List.sort compare
+               [ ("stage/DalyHigh", 2); ("stage/LowerBound", table.Evaluation.usable_replicates);
+                 ("stage/Young", 2) ])
+            (List.sort compare (stage_calls ()));
+          (match Metrics.find "eval/trace_gen_seconds" with
+          | Some (Metrics.Histogram h) ->
+              check Alcotest.int "one trace-generation observation per replicate" 8 h.Metrics.count
+          | _ -> Alcotest.fail "trace-generation histogram registered");
+          reset ();
+          Metrics.set_enabled false;
+          ignore (Evaluation.degradation_table ~scenario ~policies ~replicates:8);
+          check Alcotest.(list (pair string int)) "disabled: no stage timer moves" []
+            (stage_calls ())))
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -1262,6 +1283,7 @@ let () =
           Alcotest.test_case "no nan in printed tables" `Quick test_evaluation_no_nan_printed;
           Alcotest.test_case "trace cache reuse" `Quick test_trace_cache_reuses_sets;
           Alcotest.test_case "invalid" `Quick test_evaluation_invalid;
+          Alcotest.test_case "stage timers" `Quick test_evaluation_stage_timers;
           Alcotest.test_case "profile accounting identity" `Quick
             test_profile_accounting_identity;
           Alcotest.test_case "profile stripe x sched bit-identity" `Quick
@@ -1301,7 +1323,6 @@ let () =
             test_traced_weibull_reconciles;
           Alcotest.test_case "cost-profile trace reconciles bitwise" `Quick
             test_traced_cost_profile_reconciles;
-          Alcotest.test_case "instrument scoping" `Quick test_instrument_scoped_resets;
         ] );
       ( "explain",
         [

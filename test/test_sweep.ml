@@ -244,26 +244,6 @@ let prop_prefix_resume =
           let resumed = run_store ~dir ~replicates:6 () in
           fresh = resumed))
 
-let test_floats_resume () =
-  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let dir = fresh_dir () in
-      let scenario = eval_scenario () in
-      let f replicate = Float.of_int replicate *. 1.5 in
-      let run () =
-        Sweep_store.floats
-          ~store:(Sweep_store.create ~dir)
-          ~experiment:"floats_test" ~scenario ~replicates:5 ~f ()
-      in
-      let fresh, s1 = stats_since run in
-      check
-        Alcotest.(array (float 0.))
-        "floats == Array.init replicates f" (Array.init 5 f) fresh;
-      check Alcotest.int "three stripes computed" 3 s1.Sweep_store.computed;
-      let resumed, s2 = stats_since run in
-      check Alcotest.(array (float 0.)) "resumed floats identical" fresh resumed;
-      check Alcotest.int "all stripes skipped" 3 s2.Sweep_store.skipped;
-      check Alcotest.int "nothing recomputed" 0 s2.Sweep_store.computed)
-
 let test_vectors_resume () =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
       let dir = fresh_dir () in
@@ -286,18 +266,17 @@ let test_vectors_resume () =
       let resumed, s2 = stats_since run in
       check Alcotest.bool "resumed vectors bit-identical" true (compare fresh resumed = 0);
       check Alcotest.int "all stripes skipped" 3 s2.Sweep_store.skipped;
-      (* Same scenario and replicates under a different kind must not
-         collide with the floats units. *)
-      let floats, s3 =
+      (* Same experiment, scenario and replicates at another width must
+         not collide with the width-4 units: the width is in the key. *)
+      let g replicate = Array.make 3 (float_of_int replicate) in
+      let narrow, s3 =
         stats_since (fun () ->
-            Sweep_store.floats
+            Sweep_store.vectors
               ~store:(Sweep_store.create ~dir)
-              ~experiment:"vectors_test" ~scenario ~replicates:5
-              ~f:(fun r -> float_of_int r)
-              ())
+              ~experiment:"vectors_test" ~scenario ~replicates:5 ~width:3 ~f:g ())
       in
-      check Alcotest.int "distinct kind computes afresh" 3 s3.Sweep_store.computed;
-      check Alcotest.(array (float 0.)) "floats unaffected" (Array.init 5 float_of_int) floats)
+      check Alcotest.int "distinct width computes afresh" 3 s3.Sweep_store.computed;
+      check Alcotest.bool "narrow rows unaffected" true (compare (Array.init 5 g) narrow = 0))
 
 (* -- claim protocol and worker mode ------------------------------------------ *)
 
@@ -507,7 +486,6 @@ let () =
           Alcotest.test_case "changed params change keys" `Quick test_changed_params_invalidate;
           Alcotest.test_case "stripe width changes keys" `Quick test_stripe_size_changes_keys;
           QCheck_alcotest.to_alcotest prop_prefix_resume;
-          Alcotest.test_case "floats resume" `Quick test_floats_resume;
           Alcotest.test_case "vectors resume" `Quick test_vectors_resume;
         ] );
       ( "claims",

@@ -83,8 +83,6 @@ let test_metrics_gating () =
   Metrics.reset ~prefix:"test/gated" ();
   Metrics.incr c;
   Metrics.observe h 3.0;
-  (* [record] is deliberately unconditional: the caller already paid
-     for the measurement. *)
   Metrics.record t 1.0;
   (match Metrics.find "test/gated_counter" with
   | Some (Metrics.Counter 0) -> ()
@@ -93,8 +91,8 @@ let test_metrics_gating () =
   | Some (Metrics.Histogram s) -> check Alcotest.int "disabled hist empty" 0 s.Metrics.count
   | _ -> Alcotest.fail "histogram registered");
   match Metrics.find "test/gated_timer" with
-  | Some (Metrics.Timer { calls = 1; _ }) -> ()
-  | _ -> Alcotest.fail "record must accumulate even when disabled"
+  | Some (Metrics.Timer { calls = 0; _ }) -> ()
+  | _ -> Alcotest.fail "disabled timer must not move"
 
 let test_metrics_reset_prefix () =
   with_metrics (fun () ->
@@ -374,7 +372,26 @@ let test_json_rejects_garbage () =
       match Json.parse src with
       | Ok _ -> Alcotest.failf "accepted malformed input %S" src
       | Error _ -> ())
-    [ "{"; "[1,]"; "\"unterminated"; "{\"a\":1} trailing"; "nul"; "1.2.3"; "" ]
+    [ "{"; "[1,]"; "\"unterminated"; "{\"a\":1} trailing"; "nul"; "1.2.3"; "";
+      (* Numbers outside RFC 8259's grammar that float_of_string takes. *)
+      ".5"; "+1"; "-.5"; "1.e5"; "01"; "-01"; "1."; "[1.]";
+      (* Raw control bytes inside a string. *)
+      "\"a\x01b\""; "\"a\tb\"" ];
+  List.iter
+    (fun (src, expected) ->
+      match Json.parse src with
+      | Ok j -> check Alcotest.bool (Printf.sprintf "%S parses to its value" src) true (j = expected)
+      | Error e -> Alcotest.failf "rejected valid input %S: %s" src e)
+    [ ("0", Json.Num 0.); ("-0", Json.Num (-0.)); ("1.5e-3", Json.Num 1.5e-3);
+      ("1E+2", Json.Num 100.);
+      ("[0.5,10,-2E3]", Json.Arr [ Json.Num 0.5; Json.Num 10.; Json.Num (-2000.) ]) ];
+  (* The writer's own %.0f / %.12g renderings stay inside the grammar. *)
+  List.iter
+    (fun v ->
+      let j = Json.Num v in
+      check Alcotest.bool (Printf.sprintf "%h round-trips" v) true
+        (Json.parse (Json.to_string j) = Ok j))
+    [ 0.; -0.; 3.; -42.; 0.1; -2.5e-7; 1e15; 6.02214076e23; 1e-300 ]
 
 (* -- metrics exposition ------------------------------------------------------ *)
 

@@ -670,7 +670,12 @@ let sweep_cmd =
     Printf.printf
       "%s: %d units skipped, %d computed, %d invalidated, %d claimed, %d busy, %d reaped\n%!"
       label s.E.Sweep_store.skipped s.E.Sweep_store.computed s.E.Sweep_store.invalidated
-      s.E.Sweep_store.claimed s.E.Sweep_store.busy s.E.Sweep_store.reaped
+      s.E.Sweep_store.claimed s.E.Sweep_store.busy s.E.Sweep_store.reaped;
+    (* Period units on a line of their own: the line above is parsed by
+       tooling that expects stripe-unit counts only. *)
+    Printf.printf "period units: %d loaded, %d searched, %d invalidated\n%!"
+      s.E.Sweep_store.period_loaded s.E.Sweep_store.period_searched
+      s.E.Sweep_store.period_invalidated
   in
   let run ids resume full traces workers =
     let config = E.Config.default () in

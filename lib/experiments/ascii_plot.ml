@@ -79,4 +79,5 @@ let render ?(options = default_options) series =
     series;
   Buffer.contents buf
 
-let print ?options series = print_string (render ?options series)
+let print ?options series =
+  if finite_points series <> [] then print_string (render ?options series)

@@ -25,3 +25,6 @@ val render : ?options:options -> Report.series list -> string
     the series list is empty. *)
 
 val print : ?options:options -> Report.series list -> unit
+(** Prints {!render}'s chart, or nothing when no point is finite — the
+    tables of a sweep worker that found every unit held elsewhere are
+    all placeholders, and their series all NaN. *)

@@ -29,5 +29,7 @@ val policies :
   Ckpt_simulator.Scenario.t ->
   Ckpt_policies.Policy.t list
 (** The Section 4.1 roster for a scenario: Young, DalyLow, DalyHigh,
-    then the optional members.  PeriodLB runs its (costly) offline
-    search at construction. *)
+    then the optional members.  Construction is cheap: PeriodLB's
+    (costly) offline search runs on its first [instantiate], which the
+    evaluation harness calls only when a stripe will be computed
+    ({!Ckpt_simulator.Evaluation.prepare}, {!Sweep_store.tune}). *)

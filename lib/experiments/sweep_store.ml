@@ -1,10 +1,6 @@
 module Scenario = Ckpt_simulator.Scenario
 module Evaluation = Ckpt_simulator.Evaluation
 module Policy = Ckpt_policies.Policy
-module Job = Ckpt_policies.Job
-module Machine = Ckpt_platform.Machine
-module Overhead = Ckpt_platform.Overhead
-module Distribution = Ckpt_distributions.Distribution
 module Domain_pool = Ckpt_parallel.Domain_pool
 module Atomic_file = Ckpt_store.Atomic_file
 module Metrics = Ckpt_telemetry.Metrics
@@ -44,37 +40,49 @@ type stats = {
   claimed : int;
   busy : int;
   reaped : int;
+  period_loaded : int;
+  period_searched : int;
+  period_invalidated : int;
 }
 
-let skipped = Atomic.make 0
-let computed = Atomic.make 0
-let invalidated = Atomic.make 0
-let claimed = Atomic.make 0
-let busy = Atomic.make 0
-let reaped = Atomic.make 0
-let m_skipped = Metrics.counter "sweep/units_skipped"
-let m_computed = Metrics.counter "sweep/units_computed"
-let m_invalidated = Metrics.counter "sweep/units_invalidated"
-let m_claimed = Metrics.counter "sweep/claims_won"
-let m_busy = Metrics.counter "sweep/claims_busy"
-let m_reaped = Metrics.counter "sweep/claims_reaped"
+(* One process-wide count, mirrored as a telemetry counter. *)
+type count = { cell : int Atomic.t; metric : Metrics.counter }
 
-let bump cell counter =
-  Atomic.incr cell;
-  Metrics.incr counter
+let count name = { cell = Atomic.make 0; metric = Metrics.counter name }
+let skipped = count "sweep/units_skipped"
+let computed = count "sweep/units_computed"
+let invalidated = count "sweep/units_invalidated"
+let claimed = count "sweep/claims_won"
+let busy = count "sweep/claims_busy"
+let reaped = count "sweep/claims_reaped"
+let period_loaded = count "sweep/period_units_loaded"
+let period_searched = count "sweep/period_units_searched"
+let period_invalidated = count "sweep/period_units_invalidated"
+
+let bump c =
+  Atomic.incr c.cell;
+  Metrics.incr c.metric
 
 let stats () =
-  { skipped = Atomic.get skipped; computed = Atomic.get computed;
-    invalidated = Atomic.get invalidated; claimed = Atomic.get claimed;
-    busy = Atomic.get busy; reaped = Atomic.get reaped }
+  let get c = Atomic.get c.cell in
+  { skipped = get skipped; computed = get computed; invalidated = get invalidated;
+    claimed = get claimed; busy = get busy; reaped = get reaped;
+    period_loaded = get period_loaded; period_searched = get period_searched;
+    period_invalidated = get period_invalidated }
 
 let reset_stats () =
-  Atomic.set skipped 0;
-  Atomic.set computed 0;
-  Atomic.set invalidated 0;
-  Atomic.set claimed 0;
-  Atomic.set busy 0;
-  Atomic.set reaped 0
+  List.iter
+    (fun c -> Atomic.set c.cell 0)
+    [ skipped; computed; invalidated; claimed; busy; reaped; period_loaded; period_searched;
+      period_invalidated ]
+
+(* Which counters a unit's load-or-compute moves: stripe units and
+   period units are counted apart, so a resume pass's [skipped] stays
+   the cold pass's [computed] whatever period units either touched. *)
+type tally = { loaded : count; made : count; bad : count }
+
+let stripe_tally = { loaded = skipped; made = computed; bad = invalidated }
+let period_tally = { loaded = period_loaded; made = period_searched; bad = period_invalidated }
 
 (* -- content addressing ------------------------------------------------------
 
@@ -89,36 +97,14 @@ let reset_stats () =
 let hex = Printf.sprintf "%h"
 
 let fingerprint ~kind ~experiment ~scenario ~policy_names ~replicates ~params =
-  let job = scenario.Scenario.job in
-  let machine = job.Job.machine in
-  let dist = job.Job.dist in
-  let overhead =
-    match machine.Machine.overhead with
-    | Overhead.Constant c -> Printf.sprintf "constant:%s" (hex c)
-    | Overhead.Proportional { cost_at; reference_processors } ->
-        Printf.sprintf "proportional:%s@%d" (hex cost_at) reference_processors
-  in
-  let base =
-    [
-      ("kind", kind);
-      ("experiment", experiment);
-      ("dist", dist.Distribution.name);
-      ("dist_mean", hex dist.Distribution.mean);
-      ("processors", string_of_int job.Job.processors);
-      ("group_size", string_of_int job.Job.group_size);
-      ("work_time", hex job.Job.work_time);
-      ("total_processors", string_of_int machine.Machine.total_processors);
-      ("downtime", hex machine.Machine.downtime);
-      ("overhead", overhead);
-      ("seed", Int64.to_string scenario.Scenario.seed);
-      ("horizon", hex scenario.Scenario.horizon);
-      ("start_time", hex scenario.Scenario.start_time);
+  [ ("kind", kind); ("experiment", experiment) ]
+  @ Scenario.fingerprint scenario
+  @ [
       ("policies", String.concat "," policy_names);
       ("replicates", string_of_int replicates);
       ("stripe_size", string_of_int (Evaluation.stripe_size ()));
     ]
-  in
-  base @ List.sort compare params
+  @ List.sort compare params
 
 let digest_of fields =
   Digest.to_hex
@@ -232,7 +218,7 @@ module Claim = struct
       if Atomic_file.create_exclusive ~path:cpath (mine ()) then `Won
       else if retries > 0 && stale ~now:(Unix.gettimeofday ()) cpath then begin
         Atomic_file.remove cpath;
-        bump reaped m_reaped;
+        bump reaped;
         attempt (retries - 1)
       end
       else `Busy
@@ -242,12 +228,12 @@ module Claim = struct
   let release unit_path = Atomic_file.remove (path unit_path)
 end
 
-let header ~digest ~stripe = Printf.sprintf "ckpt-sweep/1 %s stripe=%d" digest stripe
+let stripe_header ~digest ~stripe = Printf.sprintf "ckpt-sweep/1 %s stripe=%d" digest stripe
 
 (* Inspect a unit file without touching the counters — the per-call
    accounting lives in [load_or_compute_opt], which may examine the
    same path more than once while arbitrating a claim. *)
-let examine ~path ~digest ~stripe ~decode =
+let examine ~path ~header ~decode =
   match Atomic_file.read path with
   | None -> `Absent
   | Some contents -> (
@@ -255,64 +241,105 @@ let examine ~path ~digest ~stripe ~decode =
         match String.index_opt contents '\n' with
         | None -> None
         | Some i ->
-            if String.sub contents 0 i <> header ~digest ~stripe then None
+            if String.sub contents 0 i <> header then None
             else decode (String.sub contents (i + 1) (String.length contents - i - 1))
       in
       match valid with Some v -> `Valid v | None -> `Corrupt)
 
-let persist ~path ~digest ~stripe ~fields payload =
-  Atomic_file.write ~path (header ~digest ~stripe ^ "\n" ^ payload);
-  Provenance.write_sidecar
-    ~extra:(("unit_stripe", string_of_int stripe) :: fields)
-    ~path ()
-
-let compute_and_persist ~path ~digest ~stripe ~fields ~encode compute =
+let compute_and_persist ~tally ~path ~header ~extra ~encode compute =
   let v = compute () in
-  persist ~path ~digest ~stripe ~fields (encode v);
-  bump computed m_computed;
+  Atomic_file.write ~path (header ^ "\n" ^ encode v);
+  Provenance.write_sidecar ~extra ~path ();
+  bump tally.made;
   v
 
-(* [None] only in worker mode, for a unit another live worker holds. *)
-let load_or_compute_opt ~path ~digest ~stripe ~fields ~decode ~encode compute =
-  let ex () = examine ~path ~digest ~stripe ~decode in
+(* [None] only in worker mode, for a unit another live worker holds;
+   the caller counts what that leaves busy. *)
+let load_or_compute_opt ~tally ~path ~header ~extra ~decode ~encode compute =
+  let ex () = examine ~path ~header ~decode in
   match ex () with
   | `Valid v ->
-      bump skipped m_skipped;
+      bump tally.loaded;
       Some v
   | (`Absent | `Corrupt) as first ->
-      if first = `Corrupt then bump invalidated m_invalidated;
+      if first = `Corrupt then bump tally.bad;
       if not (worker_mode ()) then
-        Some (compute_and_persist ~path ~digest ~stripe ~fields ~encode compute)
+        Some (compute_and_persist ~tally ~path ~header ~extra ~encode compute)
       else begin
         match Claim.acquire path with
         | `Won -> (
-            bump claimed m_claimed;
+            bump claimed;
             (* The previous holder may have persisted the unit and
                released between our first look and our win. *)
             match ex () with
             | `Valid v ->
                 Claim.release path;
-                bump skipped m_skipped;
+                bump tally.loaded;
                 Some v
             | `Absent | `Corrupt ->
                 let v =
                   Fun.protect
                     ~finally:(fun () -> Claim.release path)
                     (fun () ->
-                      compute_and_persist ~path ~digest ~stripe ~fields ~encode compute)
+                      compute_and_persist ~tally ~path ~header ~extra ~encode compute)
                 in
                 Some v)
         | `Busy -> (
             (* The holder may have finished while we were acquiring. *)
             match ex () with
             | `Valid v ->
-                bump skipped m_skipped;
+                bump tally.loaded;
                 Some v
-            | `Absent | `Corrupt ->
-                bump busy m_busy;
-                None)
+            | `Absent | `Corrupt -> None)
       end
 
+let load_or_compute_stripe ~path ~digest ~stripe ~fields ~decode ~encode compute =
+  load_or_compute_opt ~tally:stripe_tally ~path ~header:(stripe_header ~digest ~stripe)
+    ~extra:(("unit_stripe", string_of_int stripe) :: fields)
+    ~decode ~encode compute
+
+(* -- period units ------------------------------------------------------------
+
+   A policy's tuned parameter (PeriodLB's period) is a unit of its own,
+   keyed by the policy's [tuning.key] alone: kind, scenario
+   fingerprint, factor grid, tuning replicates and offset — not the
+   experiment, roster, replicate count or stripe width, so every study
+   over one scenario shares one search.  The payload carries the
+   period in hex with an MD5 of that text, and must re-encode to
+   itself byte for byte: a truncated file, a flipped byte, or a
+   non-finite or non-positive period is corrupt, never a value. *)
+
+let period_format = "ckpt-period/1"
+
+let encode_period period =
+  let h = hex period in
+  Printf.sprintf "%s %s %s\n" period_format h (Digest.to_hex (Digest.string h))
+
+let decode_period payload =
+  match String.split_on_char ' ' payload with
+  | [ fmt; h; _ ] when fmt = period_format -> (
+      match float_of_string_opt h with
+      | Some p when Float.is_finite p && p > 0. && encode_period p = payload -> Some p
+      | Some _ | None -> None)
+  | _ -> None
+
+let period_unit (tuning : Policy.tuning) =
+  let digest = digest_of tuning.Policy.key in
+  (Printf.sprintf "period-%s.period" digest, Printf.sprintf "ckpt-sweep/1 %s period" digest)
+
+let period_path store tuning = Filename.concat store.root (fst (period_unit tuning))
+
+let period_file tuning period =
+  let _, header = period_unit tuning in
+  header ^ "\n" ^ encode_period period
+
+let tune store (tuning : Policy.tuning) =
+  let name, header = period_unit tuning in
+  load_or_compute_opt ~tally:period_tally ~path:(Filename.concat store.root name) ~header
+    ~extra:tuning.Policy.key ~decode:decode_period ~encode:encode_period tuning.Policy.search
+  |> Option.map (fun period ->
+         tuning.Policy.adopt period;
+         Option.get (tuning.Policy.known ()))
 
 (* -- unit / claim enumeration ------------------------------------------------
 
@@ -417,13 +444,28 @@ let reap_claims ?(all = false) t =
          let path = Filename.concat t.root name in
          if all || Claim.stale ~now path then begin
            Atomic_file.remove path;
-           bump reaped m_reaped;
+           bump reaped;
            n + 1
          end
          else n)
        0
 
 (* -- entry points ------------------------------------------------------------ *)
+
+(* Before a fan-out that computes stripes: resolve each pending tuned
+   parameter through its period unit, then instantiate the roster once.
+   [false] only in worker mode, when a period unit is claimed elsewhere. *)
+let prepare_roster store policies =
+  let tuned =
+    List.for_all
+      (fun p ->
+        match p.Policy.tuning with
+        | Some t when t.Policy.known () = None -> tune store t <> None
+        | Some _ | None -> true)
+      policies
+  in
+  if tuned then Evaluation.prepare policies;
+  tuned
 
 let degradation_table ?store ?(params = []) ~experiment ~scenario ~policies ~replicates () =
   match store with
@@ -435,17 +477,37 @@ let degradation_table ?store ?(params = []) ~experiment ~scenario ~policies ~rep
       in
       let digest = digest_of fields in
       let names = Array.of_list policy_names in
-      let partials =
+      let path stripe = unit_path store ~experiment ~digest ~stripe in
+      let decode = Evaluation.deserialize_partial in
+      (* Load what is on disk first: a pass that finds every unit needs
+         no policy's one-time work. *)
+      let on_disk =
         Domain_pool.parallel_init (Evaluation.stripe_count ~replicates) (fun stripe ->
-            let path = unit_path store ~experiment ~digest ~stripe in
-            match
-              load_or_compute_opt ~path ~digest ~stripe ~fields
-                ~decode:Evaluation.deserialize_partial
-                ~encode:Evaluation.serialize_partial (fun () ->
-                  Evaluation.stripe_partial ~scenario ~policies ~replicates ~stripe)
-            with
+            match examine ~path:(path stripe) ~header:(stripe_header ~digest ~stripe) ~decode with
+            | `Valid p ->
+                bump skipped;
+                Some p
+            | `Absent | `Corrupt -> None)
+      in
+      (* A worker that finds a period unit claimed elsewhere leaves this
+         table's missing stripes busy; its re-pass comes back for them. *)
+      let ready = Array.for_all Option.is_some on_disk || prepare_roster store policies in
+      let partials =
+        Domain_pool.parallel_init (Array.length on_disk) (fun stripe ->
+            let partial =
+              match on_disk.(stripe) with
+              | Some _ as loaded -> loaded
+              | None when not ready -> None
+              | None ->
+                  load_or_compute_stripe ~path:(path stripe) ~digest ~stripe ~fields ~decode
+                    ~encode:Evaluation.serialize_partial (fun () ->
+                      Evaluation.stripe_partial ~scenario ~policies ~replicates ~stripe)
+            in
+            match partial with
             | Some p -> p
-            | None -> Evaluation.empty_partial ~policy_names:names)
+            | None ->
+                bump busy;
+                Evaluation.empty_partial ~policy_names:names)
       in
       Evaluation.table_of_partials (Array.to_list partials)
 
@@ -528,10 +590,12 @@ let vectors ?store ?(params = []) ~experiment ~scenario ~replicates ~width ~f ()
               | _ -> None
             in
             (match
-               load_or_compute_opt ~path ~digest ~stripe ~fields ~decode
+               load_or_compute_stripe ~path ~digest ~stripe ~fields ~decode
                  ~encode:encode_vectors compute
              with
             | Some rows -> rows
-            | None -> Array.init len (fun _ -> Array.make width 0.)))
+            | None ->
+                bump busy;
+                Array.init len (fun _ -> Array.make width 0.)))
   in
   Array.concat (Array.to_list stripe_arrays)

@@ -17,6 +17,12 @@
     payload check is counted as {e invalidated}, recomputed, and
     overwritten.
 
+    Beside these stripe units the store keeps {e period units}: the
+    period PeriodLB's offline search found for one scenario and tuning
+    grid ({!tune}), shared by every study over that scenario.  A table
+    reads or searches its period units only when some stripe is
+    missing, so a pass over a complete store searches nothing.
+
     Point the store at a directory with [CKPT_SWEEP_DIR=<dir>] (or
     [ckpt sweep --resume <dir>]); without it every entry point below
     degrades to the plain, storeless computation.
@@ -51,17 +57,26 @@ val of_config : Config.t -> t option
 (** The store named by the config's [sweep_dir], if any. *)
 
 type stats = {
-  skipped : int;  (** units loaded from the store *)
-  computed : int;  (** units computed and persisted *)
-  invalidated : int;  (** unit files found corrupt and recomputed *)
-  claimed : int;  (** worker mode: claim markers won *)
-  busy : int;  (** worker mode: units skipped, held by a live worker *)
+  skipped : int;  (** stripe units loaded from the store *)
+  computed : int;  (** stripe units computed and persisted *)
+  invalidated : int;  (** stripe unit files found corrupt and recomputed *)
+  claimed : int;  (** worker mode: claim markers won (stripe and period units) *)
+  busy : int;
+      (** worker mode: stripe units skipped, held by a live worker —
+          or left because their table's period unit is *)
   reaped : int;  (** stale claim markers removed *)
+  period_loaded : int;  (** period units loaded from the store *)
+  period_searched : int;  (** period units searched and persisted *)
+  period_invalidated : int;  (** period unit files found corrupt and searched again *)
 }
-(** Process-wide unit counters since the last {!reset_stats}.  Mirrored
-    as telemetry counters [sweep/units_skipped], [sweep/units_computed],
+(** Process-wide unit counters since the last {!reset_stats}.  Period
+    units (see {!tune}) are counted apart from stripe units, never in
+    [skipped], [computed] or [invalidated].  Mirrored as telemetry
+    counters [sweep/units_skipped], [sweep/units_computed],
     [sweep/units_invalidated], [sweep/claims_won], [sweep/claims_busy],
-    [sweep/claims_reaped] when [CKPT_METRICS=1]. *)
+    [sweep/claims_reaped], [sweep/period_units_loaded],
+    [sweep/period_units_searched] and [sweep/period_units_invalidated]
+    when [CKPT_METRICS=1]. *)
 
 val stats : unit -> stats
 val reset_stats : unit -> unit
@@ -124,6 +139,25 @@ val reap_claims : ?all:bool -> t -> int
     safe once every worker has been waited on) and return the count
     removed. *)
 
+val tune : t -> Ckpt_policies.Policy.tuning -> float option
+(** A policy's tuned parameter (PeriodLB's period) through its {e period
+    unit}: loaded from the store and adopted, else searched (through
+    [tuning.search]) and persisted.  The unit is keyed by
+    [tuning.key] alone — not by experiment, roster, replicate count or
+    stripe width — so every study over one scenario shares it.  A
+    file that is truncated, altered or holds a non-finite or
+    non-positive period counts as invalidated and is searched again.
+    In worker mode the unit is claimed like a stripe unit; [None] only
+    there, when another live worker holds the claim. *)
+
+val period_path : t -> Ckpt_policies.Policy.tuning -> string
+(** The period unit file {!tune} reads and writes. *)
+
+val period_file : Ckpt_policies.Policy.tuning -> float -> string
+(** The contents {!tune} writes for a period — header line and
+    payload.  Tests use it to forge units (non-positive or non-finite
+    periods included, which {!tune} rejects). *)
+
 val degradation_table :
   ?store:t ->
   ?params:(string * string) list ->
@@ -135,7 +169,12 @@ val degradation_table :
   Ckpt_simulator.Evaluation.table
 (** {!Ckpt_simulator.Evaluation.degradation_table}, checkpointed per
     replicate stripe when [store] is given; bit-identical to the plain
-    call either way.  [experiment] names the study point (distinct
+    call either way.  With a store, the stripes on disk are loaded
+    first; only when some stripe is missing or corrupt does the roster
+    do its one-time work — each pending tuned parameter through
+    {!tune}, then one [instantiate] per member — before the fan-out
+    computes the missing stripes.  A worker that finds a period unit
+    claimed elsewhere counts the table's missing stripes as [busy].  [experiment] names the study point (distinct
     sweep points of one study must pass distinct names or [params]);
     [params] are extra key/value pairs folded into the unit key and
     recorded in each unit's provenance sidecar. *)

@@ -56,6 +56,9 @@ let write_stats ~path ~index ~seconds (s : Sweep_store.stats) =
       ("claimed", string_of_int s.Sweep_store.claimed);
       ("busy", string_of_int s.Sweep_store.busy);
       ("reaped", string_of_int s.Sweep_store.reaped);
+      ("period_loaded", string_of_int s.Sweep_store.period_loaded);
+      ("period_searched", string_of_int s.Sweep_store.period_searched);
+      ("period_invalidated", string_of_int s.Sweep_store.period_invalidated);
     ]
     |> List.map field |> String.concat ",\n"
   in
@@ -149,6 +152,9 @@ let read_stats path =
                 claimed = int "claimed";
                 busy = int "busy";
                 reaped = int "reaped";
+                period_loaded = int "period_loaded";
+                period_searched = int "period_searched";
+                period_invalidated = int "period_invalidated";
               },
               match Option.bind (Json.member json "seconds") Json.to_float with
               | Some s -> s

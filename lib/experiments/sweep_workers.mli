@@ -38,7 +38,9 @@ val run_as_worker : store:Sweep_store.t -> index:int -> (unit -> unit) -> unit
 (** Run [f] — the study pass — in worker mode.  Repeats the pass while
     it both computed units and found units busy elsewhere (cheap tail
     rebalancing: completed units just load on a re-pass), then writes
-    [worker-<index>.stats.json] into the store directory.  On exception
+    [worker-<index>.stats.json] into the store directory: every
+    {!Sweep_store.stats} count, period units included, and the
+    worker's wall time in [seconds].  On exception
     the stats file is still written before the exception escapes. *)
 
 type outcome = Finished | Failed of int | Signaled of int

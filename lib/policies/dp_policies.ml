@@ -125,7 +125,7 @@ let dp_makespan ?quantum ?cap_states ?chunk_factor job =
   in
   (* The cursor makes each decision depend on the whole history, not
      the current observation alone: not pure-scalar. *)
-  { Policy.name = "DPMakespan"; instantiate; decide = None }
+  { Policy.name = "DPMakespan"; instantiate; decide = None; tuning = None }
 
 let dp_next_failure ?(nexact = Age_summary.default_nexact)
     ?(napprox = Age_summary.default_napprox) ?(max_states = 150) ?(truncation_factor = 2.)
@@ -184,4 +184,4 @@ let dp_next_failure ?(nexact = Age_summary.default_nexact)
   in
   (* Stateful (pending plan and budget) and age-summary-driven: each
      execution needs a fresh instance. *)
-  { Policy.name = "DPNextFailure"; instantiate; decide = None }
+  { Policy.name = "DPNextFailure"; instantiate; decide = None; tuning = None }

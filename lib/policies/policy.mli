@@ -8,7 +8,13 @@
 
     Policies may be stateful across one execution (the DP policies
     follow a precomputed plan); [instantiate] produces a fresh,
-    unentangled decision function per simulated execution. *)
+    unentangled decision function per simulated execution.
+
+    [instantiate] may also do one-time work on its first call — PeriodLB
+    runs its offline period search there — so it must be safe to call
+    from any domain, concurrently, and every call must yield the same
+    decisions.  Harnesses call it once before fanning executions out,
+    so the one-time work runs once and outside the fan-out. *)
 
 type phase =
   | Start  (** first decision of the execution *)
@@ -48,6 +54,23 @@ type instance = observation -> float option
     (callers clamp), or [None] when the policy cannot produce a
     meaningful chunk (the paper's Liu heuristic on small intervals). *)
 
+(** A policy parameter found by a one-time offline search (PeriodLB's
+    period), exposed so a harness can run the search ahead of a
+    fan-out, or restore its result from a store instead. *)
+type tuning = {
+  key : (string * string) list;
+      (** every input the parameter depends on (floats in hex): a
+          content key under which a store may keep the parameter. *)
+  known : unit -> float option;  (** the parameter, once searched or adopted. *)
+  search : unit -> float;
+      (** the parameter: the known one, else searched now and
+          published.  Safe from any domain; holds no lock while
+          searching. *)
+  adopt : float -> unit;
+      (** publish a parameter restored from a store (finite and
+          positive); a no-op once one is known. *)
+}
+
 type t = {
   name : string;
   instantiate : unit -> instance;
@@ -62,6 +85,8 @@ type t = {
           steps [instantiate ()], one instance per execution.  The
           field survives only because external drivers still build
           [t] records with it. *)
+  tuning : tuning option;
+      (** [Some] when [instantiate] first runs an offline search. *)
 }
 
 val summarize_of_iter :
@@ -88,6 +113,10 @@ val periodic : string -> period:float -> t
 (** Checkpoint every [period] seconds of work: chunks of
     [min period remaining].  [None] if [period <= 0].  Pure-scalar
     (reads only [remaining]). *)
+
+val periodic_decision : period:float -> instance
+(** {!periodic}'s decision function, for policies whose period is only
+    known later (PeriodLB). *)
 
 val clamp_chunk : remaining:float -> float -> float
 (** Clamp a proposed chunk into (0, remaining]. *)

@@ -496,10 +496,18 @@ let deserialize_partial contents =
       end
   | _ -> None
 
+(* A policy's one-time work (PeriodLB's search) runs on its first
+   [instantiate]: run it here, once, on the calling domain, before a
+   fan-out.  Left to the fan-out, it would run inside a stripe while
+   the other stripes hold their trace sets. *)
+let prepare policies =
+  List.iter (fun p -> ignore (p.Policy.instantiate () : Policy.instance)) policies
+
 let degradation_table ~scenario ~policies ~replicates =
   if replicates <= 0 then invalid_arg "Evaluation.degradation_table: replicates must be positive";
   if policies = [] then invalid_arg "Evaluation.degradation_table: no policies";
   if Tracer.enabled () then Trace_export.ensure_at_exit ();
+  prepare policies;
   (* Long tables are exactly what the periodic sampler exists for; the
      call is a no-op unless CKPT_METRICS_INTERVAL/CKPT_METRICS_OUT is
      set. *)
@@ -522,6 +530,7 @@ let degradation_table ~scenario ~policies ~replicates =
    bit-identical to the historical column; the distributional profile
    rides along from the same runs. *)
 let makespan_profile ~scenario ~policy ~replicates =
+  prepare [ policy ];
   let outcomes =
     Domain_pool.parallel_init replicates (fun replicate ->
         let traces = Scenario.traces scenario ~replicate in

@@ -84,7 +84,14 @@ val degradation_table :
   policies:Ckpt_policies.Policy.t list ->
   replicates:int ->
   table
-(** @raise Invalid_argument if [replicates <= 0] or [policies = []]. *)
+(** Calls {!prepare} on the roster before the stripe fan-out.
+    @raise Invalid_argument if [replicates <= 0] or [policies = []]. *)
+
+val prepare : Ckpt_policies.Policy.t list -> unit
+(** Call each policy's [instantiate] once, on the calling domain, so
+    its one-time work (PeriodLB's period search) runs now rather than
+    inside a stripe of a later fan-out, where it would run while the
+    other stripes hold their trace sets. *)
 
 (** {2 Replicate stripes}
 

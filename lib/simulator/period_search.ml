@@ -1,7 +1,10 @@
 module Policy = Ckpt_policies.Policy
 module Optexp = Ckpt_policies.Optexp
+module Metrics = Ckpt_telemetry.Metrics
 
 let tuning_offset = 1_000_000
+let searches = Metrics.counter "period_search/searches"
+let search_seconds = Metrics.timer "period_search/search_seconds"
 
 let default_factors () =
   let coarse = List.init 51 (fun j -> 1.1 ** float_of_int (j - 25)) in
@@ -25,9 +28,7 @@ let average_tuning_makespan ~scenario ~trace_sets ~initial_births ~period =
     (Engine.run_stripe ~initial_births ~scenario ~traces:trace_sets ~policy ());
   if !count = 0 then infinity else !acc /. float_of_int !count
 
-let best_period ?(factors = default_factors ()) ?(tuning_replicates = 16) ~scenario ~base_period
-    () =
-  if base_period <= 0. then invalid_arg "Period_search.best_period: base period must be positive";
+let search ~factors ~tuning_replicates ~scenario ~base_period =
   let work = scenario.Scenario.job.Ckpt_policies.Job.work_time in
   (* If the whole grid is unusable (no candidate in (0, work], or no
      candidate completing a tuning run), fall back to the base period
@@ -43,9 +44,12 @@ let best_period ?(factors = default_factors ()) ?(tuning_replicates = 16) ~scena
     |> List.sort_uniq compare
   in
   let candidates = if candidates = [] then [ fallback ] else candidates in
+  (* Generated here rather than through the scenario's cache: this
+     array already keeps them for the whole search, and in the cache
+     they would only evict the evaluation's replicates. *)
   let trace_sets =
     Array.init tuning_replicates (fun r ->
-        Scenario.traces scenario ~replicate:(tuning_offset + r))
+        Scenario.generate scenario ~replicate:(tuning_offset + r))
   in
   let initial_births = Array.map (Scenario.initial_lifetime_starts scenario) trace_sets in
   (* Candidates are scored independently on the shared tuning sets:
@@ -61,10 +65,60 @@ let best_period ?(factors = default_factors ()) ?(tuning_replicates = 16) ~scena
     (fun (best_p, best_v) (p, v) -> if v < best_v then (p, v) else (best_p, best_v))
     (fallback, infinity) scores
 
-let policy ?factors ?tuning_replicates scenario =
+let best_period ?(factors = default_factors ()) ?(tuning_replicates = 16) ~scenario ~base_period
+    () =
+  if base_period <= 0. then invalid_arg "Period_search.best_period: base period must be positive";
+  Metrics.incr searches;
+  let t0 = if Metrics.enabled () then Unix.gettimeofday () else 0. in
+  let result = search ~factors ~tuning_replicates ~scenario ~base_period in
+  if Metrics.enabled () then Metrics.record search_seconds (Unix.gettimeofday () -. t0);
+  result
+
+let hex = Printf.sprintf "%h"
+
+(* The search runs on the first [instantiate], not at construction: a
+   pass that loads every unit from a store never needs the period.
+   Not [Lazy.t], which raises when two domains force it at once, and
+   no lock held across the search: the domain pool's [join] helps
+   with older open regions, so a stripe task forcing this same policy
+   can run on the stack of the domain that would hold the lock.  The
+   search runs outside any lock and publishes with a compare-and-set;
+   a race at worst repeats a bit-identical search. *)
+let policy ?(factors = default_factors ()) ?(tuning_replicates = 16) scenario =
   let base_period = Optexp.period scenario.Scenario.job in
-  let period, _ = best_period ?factors ?tuning_replicates ~scenario ~base_period () in
-  Policy.periodic "PeriodLB" ~period
+  let cell = Atomic.make None in
+  let publish period =
+    ignore (Atomic.compare_and_set cell None (Some period));
+    Option.get (Atomic.get cell)
+  in
+  let period () =
+    match Atomic.get cell with
+    | Some period -> period
+    | None -> publish (fst (best_period ~factors ~tuning_replicates ~scenario ~base_period ()))
+  in
+  let tuning =
+    {
+      Policy.key =
+        (("kind", "period") :: Scenario.fingerprint scenario)
+        @ [
+            ("factors", String.concat "," (List.map hex factors));
+            ("tuning_replicates", string_of_int tuning_replicates);
+            ("tuning_offset", string_of_int tuning_offset);
+          ];
+      known = (fun () -> Atomic.get cell);
+      search = period;
+      adopt =
+        (fun period ->
+          if Float.is_finite period && period > 0. then ignore (publish period)
+          else invalid_arg "Period_search: adopted period must be finite and positive");
+    }
+  in
+  {
+    Policy.name = "PeriodLB";
+    instantiate = (fun () -> Policy.periodic_decision ~period:(period ()));
+    decide = Some (fun obs -> Policy.periodic_decision ~period:(period ()) obs);
+    tuning = Some tuning;
+  }
 
 let sweep ~scenario ~periods ~replicates =
   List.map

@@ -25,12 +25,22 @@ val best_period :
     scored in parallel, with the winner picked in candidate order.
     If no candidate lies in [(0, work]] or none completes a tuning
     run, returns [(min base_period work, infinity)] — never a zero or
-    negative period. *)
+    negative period.  Each call is one search: it bumps the
+    [period_search/searches] counter and times itself in the
+    [period_search/search_seconds] timer (under [CKPT_METRICS=1]). *)
 
 val policy :
   ?factors:float list -> ?tuning_replicates:int -> Scenario.t -> Ckpt_policies.Policy.t
-(** The PeriodLB policy: runs the search (once, eagerly) with OptExp's
-    period as base and checkpoints periodically at the winner. *)
+(** The PeriodLB policy: checkpoints periodically at the period
+    {!best_period} finds with OptExp's period as base.  Construction
+    is cheap: the search runs on the first [instantiate] (or
+    [tuning.search]), at most once per policy value unless two domains
+    race to it, in which case both run the same bit-identical search
+    and the first to finish publishes.  Its [tuning] field keys the
+    period on [kind=period], the scenario's {!Scenario.fingerprint},
+    the factor grid (hex), [tuning_replicates] and the tuning
+    replicate offset, so a sweep store can keep it
+    ({!Ckpt_experiments.Sweep_store}). *)
 
 val sweep :
   scenario:Scenario.t ->

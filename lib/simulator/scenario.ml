@@ -2,6 +2,9 @@ module Job = Ckpt_policies.Job
 module Trace = Ckpt_failures.Trace
 module Trace_set = Ckpt_failures.Trace_set
 module Units = Ckpt_platform.Units
+module Machine = Ckpt_platform.Machine
+module Overhead = Ckpt_platform.Overhead
+module Distribution = Ckpt_distributions.Distribution
 module Metrics = Ckpt_telemetry.Metrics
 
 (* Registry mirrors of the per-scenario cache stats, aggregated over
@@ -11,9 +14,8 @@ let cache_misses = Metrics.counter "scenario/trace_cache_misses"
 let traces_generated = Metrics.counter "scenario/traces_generated"
 
 (* Generated trace sets are pure functions of (scenario, replicate),
-   and several consumers ask for the same ones — the period search
-   scores every candidate on one tuning set, policy sweeps re-run the
-   same replicates per policy — so each scenario carries a bounded
+   and several consumers ask for the same ones — policy sweeps re-run
+   the same replicates per policy — so each scenario carries a bounded
    FIFO cache.  The cache is shared across domains (the evaluation
    harness fans replicates out); a single lock would serialize every
    replicate of a concurrently-evaluated table behind one mutex, so
@@ -72,6 +74,32 @@ let generate t ~replicate =
   Metrics.incr traces_generated;
   Trace_set.generate ~seed:t.seed ~replicate t.job.Job.dist
     ~processors:(Job.failure_units t.job) ~horizon:t.horizon
+
+let hex = Printf.sprintf "%h"
+
+let fingerprint t =
+  let job = t.job in
+  let machine = job.Job.machine in
+  let dist = job.Job.dist in
+  let overhead =
+    match machine.Machine.overhead with
+    | Overhead.Constant c -> Printf.sprintf "constant:%s" (hex c)
+    | Overhead.Proportional { cost_at; reference_processors } ->
+        Printf.sprintf "proportional:%s@%d" (hex cost_at) reference_processors
+  in
+  [
+    ("dist", dist.Distribution.name);
+    ("dist_mean", hex dist.Distribution.mean);
+    ("processors", string_of_int job.Job.processors);
+    ("group_size", string_of_int job.Job.group_size);
+    ("work_time", hex job.Job.work_time);
+    ("total_processors", string_of_int machine.Machine.total_processors);
+    ("downtime", hex machine.Machine.downtime);
+    ("overhead", overhead);
+    ("seed", Int64.to_string t.seed);
+    ("horizon", hex t.horizon);
+    ("start_time", hex t.start_time);
+  ]
 
 let locked s f =
   Mutex.lock s.lock;

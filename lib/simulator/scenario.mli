@@ -5,10 +5,10 @@ type cache
 (** Bounded FIFO cache of generated trace sets, keyed by replicate
     (so process-wide the cache is keyed by [(scenario, replicate)]).
     Trace sets are pure functions of the scenario and the replicate
-    index; the cache only saves regeneration work — the period
-    search's tuning sets, policy sweeps re-running the same
-    replicates — and never changes results.  It holds 64 sets.  Safe
-    to share across domains. *)
+    index; the cache only saves regeneration work — policy sweeps and
+    separate per-policy passes re-running the same replicates — and
+    never changes results.  It holds 64 sets.  Safe to share across
+    domains. *)
 
 type t = {
   job : Ckpt_policies.Job.t;
@@ -33,6 +33,18 @@ val traces : t -> replicate:int -> Ckpt_failures.Trace_set.t
     runs with fewer processors see a prefix of the traces of runs with
     more (the paper's coherence requirement when varying [p]).
     Memoized per scenario (see {!type:cache}). *)
+
+val generate : t -> replicate:int -> Ckpt_failures.Trace_set.t
+(** {!traces} without the cache: always generates, and keeps nothing.
+    For callers that hold their own sets (the period search's tuning
+    sets), so they do not evict the evaluation's replicates. *)
+
+val fingerprint : t -> (string * string) list
+(** Every scenario parameter a simulated result depends on —
+    distribution name and mean, processors, group size, work time,
+    machine size, downtime, overhead model, seed, horizon and start
+    time — as key/value pairs, floats in hex so the pairs see their
+    exact bits.  Stores key their units on it. *)
 
 val cache_stats : t -> int * int
 (** [(hits, misses)] of the scenario's trace cache so far. *)

@@ -62,6 +62,12 @@ if ! grep -q ", 0 computed" "$smoke/skip.log"; then
   tail -3 "$smoke/skip.log" >&2
   status=1
 fi
+# A complete store computes no stripe, so it needs no PeriodLB period.
+if ! grep -q "^period units: [0-9]* loaded, 0 searched," "$smoke/skip.log"; then
+  echo "FAIL: third sweep run searched a PeriodLB period it never uses" >&2
+  tail -3 "$smoke/skip.log" >&2
+  status=1
+fi
 
 # -- multi-process worker smoke ------------------------------------------------
 # Worker sweeps must produce byte-identical CSVs at every worker count; a
@@ -101,8 +107,21 @@ CKPT_RESULTS_DIR="$smoke/w4" \
   "$ckpt" sweep --resume "$smoke/w4_store" --workers 4 sweep-smoke > "$smoke/w4.log"
 same_csvs 4-worker "$smoke/w4"
 
+# Each of sweep-smoke's 2 scenarios is searched exactly once, summed over
+# the workers (worker-NN.stats.json) and the parent's "period units:" line:
+# the period unit is claimed like any other unit.
+worker_searches=$(sed -n 's/.*"period_searched": *\([0-9]*\).*/\1/p' \
+  "$smoke"/w4_store/worker-*.stats.json | awk '{ s += $1 } END { print s + 0 }')
+parent_searches=$(sed -n 's/^period units: [0-9]* loaded, \([0-9]*\) searched.*/\1/p' \
+  "$smoke/w4.log")
+if [ -z "$parent_searches" ] || [ $((worker_searches + parent_searches)) -ne 2 ]; then
+  echo "FAIL: 4-worker run searched periods $worker_searches (workers) + ${parent_searches:-missing} (parent) times, not 2" >&2
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
   echo "sweep smoke: resumed tables byte-identical; completed units skipped"
   echo "worker smoke: 2-worker sweep survived SIGKILL; 2- and 4-worker sweeps match serial bytes"
+  echo "period smoke: no search over a complete store; one search per scenario across 4 workers"
 fi
 exit "$status"

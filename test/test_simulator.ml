@@ -418,7 +418,7 @@ let reference_dp_next_failure ~max_states job =
             Some (Policy.clamp_chunk ~remaining:obs.Policy.remaining chunk)
       end
   in
-  { Policy.name = "DPNextFailure"; instantiate; decide = None }
+  { Policy.name = "DPNextFailure"; instantiate; decide = None; tuning = None }
 
 let test_engine_fast_paths_bit_identical () =
   (* The DPNextFailure fast paths — incremental age summaries and the
@@ -566,6 +566,75 @@ let test_sweep () =
       | Some v -> check Alcotest.bool "finite" true (Float.is_finite v)
       | None -> Alcotest.fail "periodic always completes")
     rows
+
+(* [f] with the registry on, returning how many period searches it ran. *)
+let counting_searches f =
+  let searches () =
+    match Metrics.find "period_search/searches" with Some (Metrics.Counter n) -> n | _ -> 0
+  in
+  Fun.protect
+    ~finally:(fun () -> Metrics.set_enabled false)
+    (fun () ->
+      Metrics.set_enabled true;
+      let before = searches () in
+      let v = f () in
+      (v, searches () - before))
+
+let test_roster_runs_no_search () =
+  let scenario = eval_scenario () in
+  let roster, searched =
+    counting_searches (fun () -> Ckpt_experiments.Setup.policies ~period_lb:true scenario)
+  in
+  check Alcotest.int "building the roster runs no search" 0 searched;
+  let period_lb = List.find (fun p -> p.Policy.name = "PeriodLB") roster in
+  let tuning = Option.get period_lb.Policy.tuning in
+  check Alcotest.bool "period not known before the first instantiate" true
+    (tuning.Policy.known () = None);
+  let (), searched =
+    counting_searches (fun () ->
+        ignore (period_lb.Policy.instantiate () : Policy.instance);
+        ignore (period_lb.Policy.instantiate () : Policy.instance))
+  in
+  check Alcotest.int "two instantiates, one search" 1 searched;
+  check Alcotest.bool "period known after it" true (tuning.Policy.known () <> None)
+
+let test_period_lb_concurrent_instantiate () =
+  (* Four pool tasks force one PeriodLB at once, while its search fans
+     its own candidates out on the same pool: nothing raises or
+     deadlocks, and every instance checkpoints at [best_period]'s
+     period, bit for bit. *)
+  let scenario = eval_scenario () in
+  let factors = [ 0.5; 0.8; 1.; 1.25; 2. ] in
+  let expected, _ =
+    Period_search.best_period ~factors ~tuning_replicates:4 ~scenario
+      ~base_period:(Ckpt_policies.Optexp.period scenario.Scenario.job)
+      ()
+  in
+  let policy = Period_search.policy ~factors ~tuning_replicates:4 scenario in
+  let instances =
+    with_domains 4 (fun () ->
+        Ckpt_parallel.Domain_pool.parallel_init 4 (fun _ -> policy.Policy.instantiate ()))
+  in
+  let iter_ages f = f 0. in
+  let obs =
+    {
+      Policy.phase = Policy.Start;
+      remaining = infinity;
+      failure_units = 1;
+      min_age = 0.;
+      iter_ages;
+      summarize = Policy.summarize_of_iter ~units:1 ~iter_ages;
+    }
+  in
+  Array.iteri
+    (fun i instance ->
+      match instance obs with
+      | Some chunk ->
+          check Alcotest.int64
+            (Printf.sprintf "instance %d uses best_period's period" i)
+            (Int64.bits_of_float expected) (Int64.bits_of_float chunk)
+      | None -> Alcotest.fail "PeriodLB declined a chunk")
+    instances
 
 (* -- significance --------------------------------------------------------------------- *)
 
@@ -1303,6 +1372,10 @@ let () =
           Alcotest.test_case "best period" `Quick test_best_period_sane;
           Alcotest.test_case "fallback never zero" `Quick test_best_period_fallback_not_zero;
           Alcotest.test_case "sweep" `Quick test_sweep;
+          Alcotest.test_case "roster construction runs no search" `Quick
+            test_roster_runs_no_search;
+          Alcotest.test_case "concurrent instantiate" `Quick
+            test_period_lb_concurrent_instantiate;
         ] );
       ( "theory vs simulation",
         [

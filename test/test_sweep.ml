@@ -419,6 +419,166 @@ let test_worker_mode_reaps_dead_claims () =
             (compare reference t = 0));
       check Alcotest.int "no claims left" 0 (List.length (Sweep_store.claims store)))
 
+(* -- period units -------------------------------------------------------------- *)
+
+module Period_search = Ckpt_simulator.Period_search
+module Policy = Ckpt_policies.Policy
+module Metrics = Ckpt_telemetry.Metrics
+
+(* A PeriodLB whose search takes a few engine runs. *)
+let period_lb ?(factors = [ 0.5; 1.; 2. ]) ?(tuning_replicates = 2) scenario =
+  Period_search.policy ~factors ~tuning_replicates scenario
+
+let tuning_of p = Option.get p.Policy.tuning
+
+(* [f] with the registry on, returning how many period searches it ran. *)
+let counting_searches f =
+  let searches () =
+    match Metrics.find "period_search/searches" with Some (Metrics.Counter n) -> n | _ -> 0
+  in
+  Fun.protect
+    ~finally:(fun () -> Metrics.set_enabled false)
+    (fun () ->
+      Metrics.set_enabled true;
+      let before = searches () in
+      let v = f () in
+      (v, searches () - before))
+
+let run_period_store ?(experiment = "unit_test") ~dir ~replicates () =
+  let scenario = eval_scenario () in
+  Sweep_store.degradation_table
+    ~store:(Sweep_store.create ~dir)
+    ~experiment ~scenario
+    ~policies:[ Ckpt_policies.Young.policy scenario.Scenario.job; period_lb scenario ]
+    ~replicates ()
+
+let test_period_unit_resume () =
+  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
+      let dir = fresh_dir () in
+      let scenario = eval_scenario () in
+      let plain =
+        Evaluation.degradation_table ~scenario
+          ~policies:[ Ckpt_policies.Young.policy scenario.Scenario.job; period_lb scenario ]
+          ~replicates:6
+      in
+      let (cold, s1), searched =
+        counting_searches (fun () -> stats_since (fun () -> run_period_store ~dir ~replicates:6 ()))
+      in
+      Alcotest.(check bool) "store table == plain table" true (compare plain cold = 0);
+      check Alcotest.int "one search" 1 searched;
+      check Alcotest.int "one period unit searched" 1 s1.Sweep_store.period_searched;
+      check Alcotest.int "stripe units computed" 3 s1.Sweep_store.computed;
+      (* A complete store: no stripe to compute, so no search and no
+         period unit read. *)
+      let (resumed, s2), searched =
+        counting_searches (fun () -> stats_since (fun () -> run_period_store ~dir ~replicates:6 ()))
+      in
+      Alcotest.(check bool) "resumed == cold" true (compare cold resumed = 0);
+      check Alcotest.int "complete store: no search" 0 searched;
+      check Alcotest.int "every stripe skipped" 3 s2.Sweep_store.skipped;
+      check Alcotest.int "no period unit touched" 0
+        (s2.Sweep_store.period_loaded + s2.Sweep_store.period_searched);
+      (* A lost stripe: the period loads from its unit, no search. *)
+      Atomic_file.remove (Filename.concat dir (List.hd (unit_files dir)));
+      let (recovered, s3), searched =
+        counting_searches (fun () -> stats_since (fun () -> run_period_store ~dir ~replicates:6 ()))
+      in
+      Alcotest.(check bool) "recovered == cold" true (compare cold recovered = 0);
+      check Alcotest.int "lost stripe: no search" 0 searched;
+      check Alcotest.int "period unit loaded" 1 s3.Sweep_store.period_loaded;
+      check Alcotest.int "lost stripe recomputed" 1 s3.Sweep_store.computed;
+      check Alcotest.int "period units not counted as stripes" 2 s3.Sweep_store.skipped;
+      (* Another experiment, replicate count and roster over the same
+         scenario share the unit. *)
+      let _, s4 =
+        stats_since (fun () -> run_period_store ~experiment:"other" ~dir ~replicates:4 ())
+      in
+      check Alcotest.int "shared period unit loaded" 1 s4.Sweep_store.period_loaded;
+      check Alcotest.int "shared period unit not searched" 0 s4.Sweep_store.period_searched)
+
+let test_period_unit_foreign_claim () =
+  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
+      let dir = fresh_dir () in
+      let store = Sweep_store.create ~dir in
+      let scenario = eval_scenario () in
+      plant_live_claim (Sweep_store.period_path store (tuning_of (period_lb scenario)));
+      in_worker_mode (fun () ->
+          let (_, s), searched =
+            counting_searches (fun () ->
+                stats_since (fun () -> run_period_store ~dir ~replicates:6 ()))
+          in
+          check Alcotest.int "no search through a live claim" 0 searched;
+          check Alcotest.int "every missing stripe busy" 3 s.Sweep_store.busy;
+          check Alcotest.int "no stripe computed" 0 s.Sweep_store.computed;
+          check Alcotest.int "no period searched" 0 s.Sweep_store.period_searched);
+      check Alcotest.(list string) "no stripe written" [] (unit_files dir);
+      (* The parent ignores claims. *)
+      let _, s = stats_since (fun () -> run_period_store ~dir ~replicates:6 ()) in
+      check Alcotest.int "parent searched through the claim" 1 s.Sweep_store.period_searched;
+      check Alcotest.int "parent computed every stripe" 3 s.Sweep_store.computed;
+      ignore (Sweep_store.reap_claims ~all:true store : int))
+
+let test_period_unit_decoder () =
+  let dir = fresh_dir () in
+  let store = Sweep_store.create ~dir in
+  let scenario = eval_scenario () in
+  let tuning = tuning_of (period_lb scenario) in
+  let truth =
+    match Sweep_store.tune store tuning with
+    | Some p -> p
+    | None -> Alcotest.fail "parent-mode tune returned no period"
+  in
+  let path = Sweep_store.period_path store tuning in
+  let good = Option.get (Atomic_file.read path) in
+  check Alcotest.string "the file is the encoded period" (Sweep_store.period_file tuning truth)
+    good;
+  (* Each damaged file must be counted as invalidated and searched
+     again, landing on the same period and a good file. *)
+  let rejected label contents =
+    Atomic_file.write ~path contents;
+    let period, s =
+      stats_since (fun () -> Sweep_store.tune store (tuning_of (period_lb scenario)))
+    in
+    let ok =
+      s.Sweep_store.period_invalidated = 1
+      && s.Sweep_store.period_searched = 1
+      && s.Sweep_store.period_loaded = 0
+      && Option.map Int64.bits_of_float period = Some (Int64.bits_of_float truth)
+      && Atomic_file.read path = Some good
+    in
+    if not ok then Alcotest.failf "%s: accepted, or not searched again" label
+  in
+  for n = 0 to String.length good - 1 do
+    rejected (Printf.sprintf "truncated to %d bytes" n) (String.sub good 0 n)
+  done;
+  String.iteri
+    (fun i c ->
+      let flipped = Bytes.of_string good in
+      Bytes.set flipped i (Char.chr (Char.code c lxor 1));
+      rejected (Printf.sprintf "byte %d flipped" i) (Bytes.to_string flipped))
+    good;
+  List.iter
+    (fun v -> rejected (Printf.sprintf "period %h" v) (Sweep_store.period_file tuning v))
+    [ nan; infinity; neg_infinity; 0.; -0.; -1.; -.truth ];
+  let _, s = stats_since (fun () -> Sweep_store.tune store (tuning_of (period_lb scenario))) in
+  check Alcotest.int "the good file loads" 1 s.Sweep_store.period_loaded
+
+let test_period_unit_keys () =
+  let dir = fresh_dir () in
+  let store = Sweep_store.create ~dir in
+  let path p = Sweep_store.period_path store (tuning_of p) in
+  let scenario = eval_scenario () in
+  let base = path (period_lb scenario) in
+  check Alcotest.string "same parameters, same unit" base (path (period_lb (eval_scenario ())));
+  List.iter
+    (fun (label, p) ->
+      Alcotest.(check bool) (label ^ " changes the key") true (path p <> base))
+    [
+      ("the factor grid", period_lb ~factors:[ 0.5; 1.; 2.1 ] scenario);
+      ("tuning_replicates", period_lb ~tuning_replicates:3 scenario);
+      ("the seed", period_lb (eval_scenario ~seed:0x5EEEL ()));
+    ]
+
 let prop_worker_partition =
   (* Emulated N-worker sweep over a random study shape: unit ownership
      is arbitrated by real claim files (each emulated worker's pass
@@ -497,5 +657,16 @@ let () =
           Alcotest.test_case "dead claims reaped under re-claim" `Quick
             test_worker_mode_reaps_dead_claims;
           QCheck_alcotest.to_alcotest prop_worker_partition;
+        ] );
+      ( "period units",
+        [
+          Alcotest.test_case "searched once, then loaded or skipped" `Quick
+            test_period_unit_resume;
+          Alcotest.test_case "live foreign claim leaves stripes busy" `Quick
+            test_period_unit_foreign_claim;
+          Alcotest.test_case "damaged units are searched again" `Quick
+            test_period_unit_decoder;
+          Alcotest.test_case "factors, tuning replicates and seed key the unit" `Quick
+            test_period_unit_keys;
         ] );
     ]
